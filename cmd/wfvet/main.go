@@ -1,39 +1,18 @@
 // Command wfvet is the determinism-lint suite for this repository: a
 // multichecker that mechanically enforces the simulator's bit-identical
-// contract (no wall clocks or raw math/rand in sim packages, no
-// order-sensitive map iteration, no ad-hoc seeds, no host-scheduler
-// concurrency in the event loop), including the interprocedural rules
-// that follow map order, seeds and wall-clock reads across calls.
+// contract (no wall clocks, env reads or raw math/rand in module code,
+// no order-sensitive map iteration, no ad-hoc seeds, no host-scheduler
+// concurrency in the event loop).
 //
 // Usage:
 //
-//	wfvet [flags] [packages]            analyze packages (default ./...)
-//	wfvet -catalog                      print the rule catalog
-//	go vet -vettool=$(which wfvet) ./...
+//	wfvet [packages]    analyze packages (default ./...)
+//	wfvet -catalog      print the rule catalog
 //
-// Flags:
-//
-//	-rules a,b          run only the named rules (default: all nine)
-//	-format text|json|sarif
-//	                    findings output form (json/sarif go to stdout)
-//	-baseline file      accept findings listed in the baseline; only
-//	                    new findings (or stale entries) fail the run
-//	-write-baseline file
-//	                    write the current findings as a baseline and
-//	                    exit; reasons must be filled in before the
-//	                    file is usable
-//
-// As a vettool it speaks the go command's unit-checking protocol, and
-// publishes per-function determinism summaries through the vetx facts
-// channel so the interprocedural rules see across package boundaries.
-// The standalone form shells out to `go list`, type-checks the whole
-// module and computes the same summaries over the whole-program
-// callgraph; both modes agree on findings.
-//
-// Exit status: 0 clean, 1 usage or operational error, 2 findings (in
-// both standalone and vettool modes; `go vet` relays the 2). Suppress
-// a finding with `//wfvet:ignore <analyzer> <reason>` on (or directly
-// above) the offending line; the reason is mandatory.
+// Findings go to stderr as file:line:col: [rule] message lines. Exit
+// status: 0 clean, 1 usage or operational error, 2 findings. Suppress a
+// finding with `//wfvet:ignore <rule> <reason>` on (or directly above)
+// the offending line; the reason is mandatory.
 package main
 
 import (
@@ -50,111 +29,42 @@ func main() {
 }
 
 func run(args []string) int {
-	// Vettool protocol first: `go vet` probes with -V=full / -flags
-	// and then passes a single vet.cfg path, none of which should hit
-	// the flag package's error handling.
-	if code, handled := driver.RunVettool(args, analysis.Rules()); handled {
-		return code
-	}
-
 	fs := flag.NewFlagSet("wfvet", flag.ContinueOnError)
-	rulesSpec := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	catalog := fs.Bool("catalog", false, "print the determinism rule catalog and exit")
-	format := fs.String("format", "text", "findings output format: text, json or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings (JSON; every entry needs a reason)")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(),
-			"usage: wfvet [flags] [packages]\n       go vet -vettool=$(which wfvet) [packages]\nexit status: 0 clean, 1 usage/operational error, 2 findings\n")
+		fmt.Fprintf(fs.Output(), "usage: wfvet [-catalog] [packages]\nexit status: 0 clean, 1 usage/operational error, 2 findings\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 1 // the flag package already printed the usage error
 	}
-
-	rules, err := analysis.SelectRules(*rulesSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 	if *catalog {
-		printCatalog(rules)
+		printCatalog()
 		return 0
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "wfvet: unknown format %q (valid: text, json, sarif)\n", *format)
-		return 1
-	}
-
-	// Load the baseline before the (slow) analysis so a malformed file
-	// fails fast as the usage error it is.
-	var baseline *driver.Baseline
-	if *baselinePath != "" {
-		baseline, err = driver.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfvet: %v\n", err)
-			return 1
-		}
 	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	res, err := driver.Analyze(".", patterns, rules)
+	findings, err := driver.Analyze(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "wfvet: %v\n", err)
 		return 1
 	}
-
-	if *writeBaseline != "" {
-		if err := driver.WriteBaseline(*writeBaseline, res.Findings); err != nil {
-			fmt.Fprintf(os.Stderr, "wfvet: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wfvet: wrote %d finding(s) to %s; fill in each entry's reason before committing\n",
-			len(res.Findings), *writeBaseline)
-		return 0
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
-
-	report := &driver.Report{Findings: res.Findings, Stats: res.Stats}
-	var stale []driver.BaselineEntry
-	if baseline != nil {
-		report.Findings, report.Baselined, stale = baseline.Apply(res.Findings)
-	}
-
-	switch *format {
-	case "json":
-		err = report.WriteJSON(os.Stdout)
-	case "sarif":
-		err = report.WriteSARIF(os.Stdout, rules)
-	default:
-		err = report.WriteText(os.Stderr)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wfvet: %v\n", err)
-		return 1
-	}
-
-	failed := false
-	if n := len(report.Findings); n > 0 {
+	if n := len(findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "wfvet: %d finding(s)\n", n)
-		failed = true
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "wfvet: stale baseline entry: [%s] %s: %s (prune it so it cannot mask a regression)\n",
-			e.Rule, e.File, e.Message)
-		failed = true
-	}
-	if failed {
 		return 2
 	}
 	return 0
 }
 
-func printCatalog(rules []*analysis.Analyzer) {
-	fmt.Println("wfvet — determinism rules (suppress with //wfvet:ignore <analyzer> <reason>)")
-	for _, a := range rules {
+func printCatalog() {
+	fmt.Println("wfvet — determinism rules (suppress with //wfvet:ignore <rule> <reason>)")
+	for _, a := range analysis.Rules() {
 		fmt.Printf("\n%s\n    %s\n    why: %s\n", a.Name, a.Doc, a.Why)
 	}
 }

@@ -1,33 +1,17 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// These cover the usage-error surface of the standalone mode: every
-// path that must exit 1 before any analysis starts. (Exit 0/2 over real
-// packages is covered by CI running wfvet against the tree itself.)
+// These cover the usage-error surface: every path that must exit 1
+// before any analysis starts. (Exit 0/2 over real packages is covered
+// by CI running wfvet against the tree itself.)
 func TestRunUsageErrors(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "nope.json")
-	unreasoned := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(unreasoned,
-		[]byte(`{"entries":[{"rule":"walltime","file":"a.go","message":"m","reason":""}]}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"unknown rule", []string{"-rules", "wibble"}},
-		{"unknown format", []string{"-format", "yaml"}},
-		{"unknown flag", []string{"-frobnicate"}},
-		{"missing baseline file", []string{"-baseline", missing}},
-		{"baseline without reasons", []string{"-baseline", unreasoned}},
+	for _, args := range [][]string{
+		{"-frobnicate"},
+		{"-rules", "norawrand"}, // retired flag
 	} {
-		if code := run(tc.args); code != 1 {
-			t.Errorf("%s: run(%v) = %d, want 1", tc.name, tc.args, code)
+		if code := run(args); code != 1 {
+			t.Errorf("run(%v) = %d, want 1", args, code)
 		}
 	}
 }

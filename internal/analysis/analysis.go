@@ -5,10 +5,12 @@
 // Every result the repo produces — golden grids, paired failure/outage
 // baselines, 1-vs-N parallel sweeps — relies on runs being byte-identical
 // given the same scenario and seed. The analyzers in this package turn
-// that contract into a compile-time gate: no wall-clock time or raw
-// math/rand in simulation packages, no order-sensitive work inside map
+// that contract into a compile-time gate: no wall-clock time, env reads
+// or raw math/rand in module code, no order-sensitive work inside map
 // iteration, no ad-hoc seeds outside the packages that own seed
 // derivation, and no host-scheduler concurrency inside the event loop.
+// Every rule looks at one function at a time; the run-time goldens and
+// determinism smokes catch what crosses calls.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
@@ -32,7 +34,7 @@ import (
 // concurrently for different passes.
 type Analyzer struct {
 	// Name is the rule identifier used in diagnostics, in
-	// //wfvet:ignore comments, and in the -rules catalog. Lowercase,
+	// //wfvet:ignore comments, and in the -catalog listing. Lowercase,
 	// no spaces.
 	Name string
 
@@ -41,7 +43,7 @@ type Analyzer struct {
 
 	// Why explains the determinism rationale — what breaks (goldens,
 	// seed pairing, parallel-vs-serial equality) when the rule is
-	// violated. Shown by `wfvet -rules`.
+	// violated. Shown by `wfvet -catalog`.
 	Why string
 
 	// Scope reports whether the rule applies to the package with the
@@ -58,20 +60,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
-
-	// PkgPath is the canonical import path used for Scope decisions.
-	// It can differ from Pkg.Path() in tests, where fixture packages
-	// masquerade as real module packages.
-	PkgPath string
-
-	// Summaries carries the interprocedural function summaries
-	// (computed by the callgraph fixpoint) covering this package and
-	// everything it can reach. Intraprocedural analyzers ignore it; a
-	// nil table degrades the interprocedural rules to extern-only
-	// resolution rather than failing.
-	Summaries SummaryTable
 
 	report func(Diagnostic)
 }
@@ -92,15 +81,13 @@ type Diagnostic struct {
 // must carry Types, Defs, Uses and Selections for the analyzers to
 // resolve callees and operand types.
 type Package struct {
-	PkgPath string // canonical import path (scope decisions)
+	// PkgPath is the canonical import path used for Scope decisions. In
+	// tests, fixture packages are checked under the path of the real
+	// module package they masquerade as.
+	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
-
-	// Summaries is the interprocedural summary table in scope for this
-	// package (own functions + everything reachable). May be nil.
-	Summaries SummaryTable
 }
 
 // IgnoreDirective is one parsed //wfvet:ignore comment.
@@ -109,7 +96,6 @@ type IgnoreDirective struct {
 	Line     int
 	Analyzer string // rule name being suppressed ("" if malformed)
 	Reason   string // justification ("" if missing — malformed)
-	Raw      string // comment text after the marker
 }
 
 // ignoreMarker introduces a suppression comment:
@@ -136,11 +122,7 @@ func ParseIgnores(fset *token.FileSet, file *ast.File) []IgnoreDirective {
 			if i := strings.Index(rest, "// want"); i >= 0 {
 				rest = rest[:i]
 			}
-			d := IgnoreDirective{
-				Pos:  c.Pos(),
-				Line: fset.Position(c.Pos()).Line,
-				Raw:  strings.TrimSpace(rest),
-			}
+			d := IgnoreDirective{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line}
 			fields := strings.Fields(rest)
 			if len(fields) >= 1 {
 				d.Analyzer = fields[0]
@@ -171,9 +153,8 @@ func suppressed(d Diagnostic, line int, ignores []IgnoreDirective) bool {
 
 // RunPackage runs every analyzer whose Scope covers pkg and returns the
 // surviving diagnostics, sorted by position. Findings silenced by a
-// well-formed //wfvet:ignore are dropped here, so every caller — the
-// standalone driver, the vettool mode and the tests — gets identical
-// suppression semantics.
+// well-formed //wfvet:ignore are dropped here, so the driver and the
+// tests get identical suppression semantics.
 func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	ignores := make(map[string][]IgnoreDirective, len(pkg.Files))
 	for _, f := range pkg.Files {
@@ -186,15 +167,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		if a.Scope != nil && !a.Scope(pkg.PkgPath) {
 			continue
 		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			Info:      pkg.Info,
-			PkgPath:   pkg.PkgPath,
-			Summaries: pkg.Summaries,
-		}
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}
 		pass.report = func(d Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)
 			if suppressed(d, pos.Line, ignores[pos.Filename]) {
@@ -221,9 +194,9 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // dedupe drops diagnostics that duplicate an earlier one at the same
-// source position with the same message: interprocedural and local
-// rules can legitimately converge on one call site, and the user needs
-// the finding once. The input must be position-sorted (RunPackage's
+// source position with the same message: nested map ranges make
+// maporder report an append in the inner loop once per enclosing range,
+// and the user needs the finding once. The input must be position-sorted (RunPackage's
 // order), so duplicates are adjacent up to the analyzer name.
 func dedupe(fset *token.FileSet, ds []Diagnostic) []Diagnostic {
 	var out []Diagnostic

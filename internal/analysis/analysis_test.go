@@ -111,35 +111,36 @@ var a int
 
 func TestScopes(t *testing.T) {
 	cases := []struct {
-		path                     string
-		sim, det, seedOwner, mod bool
+		path                string
+		sim, seedOwner, mod bool
 	}{
-		{ModulePath + "/internal/sim", true, true, false, true},
-		{ModulePath + "/internal/flow", true, true, false, true},
-		{ModulePath + "/internal/scenario", true, true, true, true},
-		{ModulePath + "/internal/rng", false, false, true, true},
-		{ModulePath + "/internal/sweep", false, false, false, true},
-		{ModulePath + "/internal/resultcache", false, true, false, true},
-		{ModulePath + "/internal/storage/sub", true, true, false, true},
-		{ModulePath + "/cmd/wfsim", false, false, false, true},
-		{ModulePath, false, false, false, true},
-		{ModulePath + "/internal/analysis", false, false, false, false},
-		{ModulePath + "/internal/analysis/driver", false, false, false, false},
-		{ModulePath + "/internal/simulator", false, false, false, true}, // prefix, not a path segment
-		{"fmt", false, false, false, false},
+		{ModulePath + "/internal/sim", true, false, true},
+		{ModulePath + "/internal/flow", true, false, true},
+		{ModulePath + "/internal/eventlog", true, false, true},
+		{ModulePath + "/cmd/wfreplay", true, false, true},
+		{ModulePath + "/internal/scenario", true, true, true},
+		{ModulePath + "/internal/rng", false, true, true},
+		{ModulePath + "/internal/sweep", false, false, true},
+		{ModulePath + "/internal/harness", false, false, true},
+		{ModulePath + "/internal/resultcache", false, false, true},
+		{ModulePath + "/internal/storage/sub", true, false, true},
+		{ModulePath + "/cmd/wfsim", false, false, true},
+		{ModulePath, false, false, true},
+		{ModulePath + "/internal/analysis", false, false, false},
+		{ModulePath + "/internal/analysis/driver", false, false, false},
+		{ModulePath + "/internal/harness/testdata/fx", false, false, false},
+		{ModulePath + "/internal/simulator", false, false, true}, // prefix, not a path segment
+		{"fmt", false, false, false},
 	}
 	for _, c := range cases {
 		if got := inSimPackage(c.path); got != c.sim {
 			t.Errorf("inSimPackage(%q) = %v, want %v", c.path, got, c.sim)
 		}
-		if got := inDeterministicPackage(c.path); got != c.det {
-			t.Errorf("inDeterministicPackage(%q) = %v, want %v", c.path, got, c.det)
-		}
 		if got := isSeedOwner(c.path); got != c.seedOwner {
 			t.Errorf("isSeedOwner(%q) = %v, want %v", c.path, got, c.seedOwner)
 		}
-		if got := inModule(c.path); got != c.mod {
-			t.Errorf("inModule(%q) = %v, want %v", c.path, got, c.mod)
+		if got := InModule(c.path); got != c.mod {
+			t.Errorf("InModule(%q) = %v, want %v", c.path, got, c.mod)
 		}
 	}
 }

@@ -18,19 +18,14 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"ec2wfsim/internal/analysis"
-	"ec2wfsim/internal/analysis/callgraph"
 	"ec2wfsim/internal/analysis/driver"
 )
 
@@ -48,7 +43,7 @@ type expectation struct {
 // the fixture's `// want` annotations exactly.
 func Run(t *testing.T, a *analysis.Analyzer, fixture, asImportPath string) {
 	t.Helper()
-	pkg, err := Load(filepath.Join("testdata", "src", fixture), asImportPath)
+	pkg, err := driver.LoadDir(filepath.Join("testdata", "src", fixture), asImportPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
@@ -69,65 +64,6 @@ func Run(t *testing.T, a *analysis.Analyzer, fixture, asImportPath string) {
 			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.re)
 		}
 	}
-}
-
-// Load parses and type-checks every .go file in dir as one package with
-// the given import path, then computes the package's interprocedural
-// summaries over its own callgraph — so fixtures exercise the
-// cross-function rules exactly as the drivers do. It is exported for
-// the callgraph package's own tests, which need the type-checked view
-// without running any analyzer.
-func Load(dir, asImportPath string) (*analysis.Package, error) {
-	pkg, err := loadFixture(dir, asImportPath)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Summaries = callgraph.Summarize([]*analysis.Package{pkg}, nil)
-	return pkg, nil
-}
-
-// loadFixture parses and type-checks every .go file in dir as one
-// package with the given import path.
-func loadFixture(dir, asImportPath string) (*analysis.Package, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(names)
-	fset := token.NewFileSet()
-	var files []*ast.File
-	imports := make(map[string]bool)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if p != "" && p != "unsafe" {
-				imports[p] = true
-			}
-		}
-	}
-	paths := make([]string, 0, len(imports))
-	for p := range imports {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	exports, err := driver.LoadExports(".", paths)
-	if err != nil {
-		return nil, err
-	}
-	imp := driver.ExportImporter(fset, exports)
-	pkg, err := driver.TypeCheckFiles(fset, imp, asImportPath, files)
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
 }
 
 // wantRe matches one quoted regexp in a want comment: "..." or `...`.

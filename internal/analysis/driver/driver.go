@@ -1,20 +1,11 @@
 // Package driver loads, type-checks and analyzes packages for wfvet.
 //
-// It supports two modes sharing one analysis core:
-//
-//   - Standalone: `wfvet ./...` shells out to `go list -deps -export`
-//     to enumerate packages and obtain export data for their imports,
-//     then parses and type-checks each target from source. This is the
-//     `make lint` entry point and needs nothing but the go toolchain.
-//
-//   - Vettool: `go vet -vettool=wfvet ./...` hands the tool one
-//     vet.cfg JSON per package (see unitchecker.go); the go command has
-//     already computed file lists and export data, including for test
-//     variants.
-//
-// Both modes resolve imports from compiler export data via the standard
-// library's gc importer — the same reader the compiler itself uses — so
-// no third-party loader is required.
+// It shells out to `go list -deps -export` to enumerate the target
+// packages and obtain compiler export data for everything they import,
+// then parses and type-checks each target from source on its own. Every
+// rule looks at one function at a time, so imports resolve through the
+// standard library's gc importer — the same reader the compiler itself
+// uses — and no third-party loader is required.
 package driver
 
 import (
@@ -29,7 +20,9 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"strings"
+	"path/filepath"
+	"sort"
+	"strconv"
 
 	"ec2wfsim/internal/analysis"
 )
@@ -38,17 +31,15 @@ import (
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Standard   bool
 	Export     string
-	GoFiles    []string
+	GoFiles    []string // non-test sources only
 	Match      []string // patterns this package matched (targets only)
-	Module     *struct{ Path string }
 }
 
-// Load enumerates the packages matching patterns (plus their deps, for
-// export data) by invoking `go list` in dir.
-func Load(dir string, patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Standard,Export,GoFiles,Match,Module"}, patterns...)
+// goList enumerates the packages matching patterns plus their deps
+// (for export data) by invoking `go list` in dir.
+func goList(dir string, patterns []string) ([]*listPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Match"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -71,146 +62,150 @@ func Load(dir string, patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-// exportImporter returns a types.Importer resolving import paths via
-// the given map of package path -> export data file. The importer
-// caches packages across calls, so one instance should be shared by all
-// type-checks in a run.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// exportImporter returns a types.Importer resolving import paths
+// through the export data files of pkgs. The importer caches packages
+// across calls, so one instance should serve every type-check in a run.
+func exportImporter(fset *token.FileSet, pkgs []*listPackage) types.Importer {
+	exports := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		exports[p.ImportPath] = p.Export
+	}
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok || file == "" {
+		file := exports[path]
+		if file == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
 }
 
-// typeCheck parses and type-checks one package from source. Test files
-// (*_test.go) are excluded: the determinism contract binds simulation
+// typeCheck type-checks already-parsed files as package pkgPath,
+// producing the analysis view of the package.
+func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) (*analysis.Package, error) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	var typeErr error
+	conf := types.Config{
+		Importer: imp,
+		Error: func(err error) {
+			if typeErr == nil {
+				typeErr = err
+			}
+		},
+	}
+	conf.Check(pkgPath, fset, files, info)
+	if typeErr != nil {
+		return nil, typeErr
+	}
+	return &analysis.Package{PkgPath: pkgPath, Fset: fset, Files: files, Info: info}, nil
+}
+
+func parseFile(fset *token.FileSet, name string) (*ast.File, error) {
+	return parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+}
+
+// Finding is one diagnostic in driver output form. File paths are
+// slash-separated and relative to the analysis root whenever they fall
+// under it.
+type Finding struct {
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
+}
+
+// String renders the canonical go-vet-style line.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Rule, f.Message)
+}
+
+// Analyze runs the rule catalog (analysis.Rules) over every module
+// package (analysis.InModule) matching patterns, resolved in dir. Test
+// files are not analyzed: the determinism contract binds simulation
 // code; tests legitimately use goroutines, wall clocks and literal
-// seeds to exercise it.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, goFiles []string) (*analysis.Package, error) {
-	var files []*ast.File
-	for _, name := range goFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+// seeds to exercise it. Findings come back sorted by package path, then
+// position.
+func Analyze(dir string, patterns []string) ([]Finding, error) {
+	pkgs, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var targets []*listPackage
+	for _, p := range pkgs {
+		if len(p.Match) > 0 && len(p.GoFiles) > 0 && analysis.InModule(p.ImportPath) {
+			targets = append(targets, p)
 		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
+
+	rules := analysis.Rules()
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, pkgs)
+	absDir, _ := filepath.Abs(dir)
+	var findings []Finding
+	for _, p := range targets {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parseFile(fset, filepath.Join(p.Dir, name))
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		pkg, err := typeCheck(fset, imp, p.ImportPath, files)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
+		}
+		for _, d := range analysis.RunPackage(pkg, rules) {
+			pos := fset.Position(d.Pos)
+			file := pos.Filename
+			if rel, err := filepath.Rel(absDir, file); err == nil && filepath.IsLocal(rel) {
+				file = filepath.ToSlash(rel)
+			}
+			findings = append(findings, Finding{Rule: d.Analyzer, File: file, Line: pos.Line, Col: pos.Column, Message: d.Message})
+		}
+	}
+	return findings, nil
+}
+
+// LoadDir parses every .go file in dir and type-checks them as one
+// package with import path pkgPath, resolving imports through export
+// data. It is the test harness's loader: fixture packages masquerade as
+// real module packages, because the rule scopes are path-based.
+func LoadDir(dir, pkgPath string) (*analysis.Package, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	sort.Strings(names)
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var imports []string
+	for _, name := range names {
+		f, err := parseFile(fset, name)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	var typeErr error
-	conf := types.Config{
-		Importer: imp,
-		Error: func(err error) {
-			if typeErr == nil {
-				typeErr = err
+		for _, spec := range f.Imports {
+			if p, _ := strconv.Unquote(spec.Path.Value); p != "unsafe" {
+				imports = append(imports, p)
 			}
-		},
+		}
 	}
-	tpkg, _ := conf.Check(pkgPath, fset, files, info)
-	if typeErr != nil {
-		return nil, typeErr
+	var pkgs []*listPackage
+	if len(imports) > 0 {
+		if pkgs, err = goList(".", imports); err != nil {
+			return nil, err
+		}
 	}
-	return &analysis.Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// Run analyzes every module package matching patterns and writes
-// findings to w as file:line:col lines. It returns the number of
-// findings; a non-nil error means the analysis itself could not run.
-// It is the plain-text convenience wrapper over Analyze.
-func Run(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (int, error) {
-	res, err := Analyze(dir, patterns, analyzers)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range res.Findings {
-		fmt.Fprintln(w, f)
-	}
-	return len(res.Findings), nil
-}
-
-// skipPath excludes the lint suite itself and fixture trees from
-// analysis: the analyzers and their testdata intentionally spell out
-// the very patterns the rules hunt for.
-func skipPath(pkgPath string) bool {
-	p := strings.TrimPrefix(pkgPath, analysis.ModulePath+"/")
-	return p == "internal/analysis" ||
-		strings.HasPrefix(p, "internal/analysis/") ||
-		strings.Contains(p, "testdata")
-}
-
-// report writes diagnostics in the canonical file:line:col form used by
-// go vet, returning how many were written.
-func report(w io.Writer, fset *token.FileSet, diags []analysis.Diagnostic) int {
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s: [%s] %s\n", pos, d.Analyzer, d.Message)
-	}
-	return len(diags)
-}
-
-// LoadExports resolves the given import paths (plus all their
-// dependencies) to export-data files via `go list -deps -export`,
-// returning a package-path -> file map for ExportImporter. It exists
-// for the analysistest harness, which type-checks fixture packages
-// whose imports (stdlib and module) need real type information.
-func LoadExports(dir string, importPaths []string) (map[string]string, error) {
-	if len(importPaths) == 0 {
-		return map[string]string{}, nil
-	}
-	pkgs, err := Load(dir, importPaths)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		exports[p.ImportPath] = p.Export
-	}
-	return exports, nil
-}
-
-// ExportImporter exposes the export-data importer for the test harness;
-// see exportImporter.
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return exportImporter(fset, exports)
-}
-
-// TypeCheckFiles type-checks already-parsed files as package pkgPath,
-// producing the analysis view of the package. All files must come from
-// fset. Unlike the internal path, the caller controls file selection.
-func TypeCheckFiles(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File) (*analysis.Package, error) {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	var typeErr error
-	conf := types.Config{
-		Importer: imp,
-		Error: func(err error) {
-			if typeErr == nil {
-				typeErr = err
-			}
-		},
-	}
-	tpkg, _ := conf.Check(pkgPath, fset, files, info)
-	if typeErr != nil {
-		return nil, typeErr
-	}
-	return &analysis.Package{PkgPath: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return typeCheck(fset, exportImporter(fset, pkgs), pkgPath, files)
 }

@@ -1,13 +1,8 @@
 package analysis
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Rules returns the full determinism-lint suite in catalog order. The
 // table is the single registration point: cmd/wfvet runs exactly these
-// analyzers, `wfvet -rules` prints them, and TestRuleCatalogComplete
+// analyzers, `wfvet -catalog` prints them, and TestRuleCatalogComplete
 // asserts each one ships docs, fixtures and a suppression path.
 func Rules() []*Analyzer {
 	return []*Analyzer{
@@ -17,65 +12,5 @@ func Rules() []*Analyzer {
 		SeedFlow,
 		SimGoroutine,
 		WfDirective,
-		OrderTaint,
-		SeedTaint,
-		WallTime,
 	}
-}
-
-// RuleNames returns the registered analyzer names in catalog order.
-func RuleNames() []string {
-	rules := Rules()
-	names := make([]string, len(rules))
-	for i, a := range rules {
-		names[i] = a.Name
-	}
-	return names
-}
-
-// UnknownRuleError reports a rule name that is not in the catalog. It
-// is a typed error (mirroring scenario.UnknownNameError) so cmd/wfvet
-// can treat a typo as a usage failure; its message always lists the
-// valid names.
-type UnknownRuleError struct {
-	Name  string   // the unresolvable rule name
-	Valid []string // the catalog it was checked against
-}
-
-func (e *UnknownRuleError) Error() string {
-	return fmt.Sprintf("wfvet: unknown rule %q (valid: %s)",
-		e.Name, strings.Join(e.Valid, ", "))
-}
-
-// SelectRules resolves a comma-separated rule-name list against the
-// catalog, preserving catalog order and ignoring empty elements and
-// duplicates. An empty spec selects every rule; an unknown name returns
-// an *UnknownRuleError.
-func SelectRules(spec string) ([]*Analyzer, error) {
-	rules := Rules()
-	if strings.TrimSpace(spec) == "" {
-		return rules, nil
-	}
-	byName := make(map[string]*Analyzer, len(rules))
-	for _, a := range rules {
-		byName[a.Name] = a
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if byName[name] == nil {
-			return nil, &UnknownRuleError{Name: name, Valid: RuleNames()}
-		}
-		want[name] = true
-	}
-	var out []*Analyzer
-	for _, a := range rules {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out, nil
 }

@@ -29,18 +29,6 @@ var simPackages = map[string]bool{
 	"cmd/wfreplay":      true,
 }
 
-// deterministicPackages extends the wall-clock/entropy rules beyond the
-// event loop: packages that run on the host (real goroutines, real
-// files) but whose outputs feed byte-compared artifacts, so a wall-time
-// or environment-dependent decision inside them breaks reproducibility
-// just as surely as one under the sim clock. internal/resultcache lists
-// and serializes cache entries for cold-vs-warm byte-identity; the
-// concurrency rules (simgoroutine) deliberately do NOT extend here —
-// host-side stores need their atomics and file locks.
-var deterministicPackages = map[string]bool{
-	"internal/resultcache": true,
-}
-
 // seedOwners are the packages allowed to construct generators from raw
 // seed material: internal/rng defines the generator, internal/scenario
 // owns seed derivation and per-cell salting.
@@ -62,72 +50,35 @@ func rel(pkgPath string) string {
 	return pkgPath
 }
 
+// under reports whether pkgPath is (inside) one of the module-relative
+// directories in dirs.
+func under(pkgPath string, dirs map[string]bool) bool {
+	p := rel(pkgPath)
+	for dir := range dirs {
+		if p == dir || strings.HasPrefix(p, dir+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // inSimPackage reports whether pkgPath is (inside) one of the
 // event-loop simulation packages.
-func inSimPackage(pkgPath string) bool {
-	p := rel(pkgPath)
-	for dir := range simPackages {
-		if p == dir || strings.HasPrefix(p, dir+"/") {
-			return true
-		}
-	}
-	return false
-}
+func inSimPackage(pkgPath string) bool { return under(pkgPath, simPackages) }
 
-// InSimPackage is the exported form of inSimPackage, for the callgraph
-// package's reachability seeds.
-func InSimPackage(pkgPath string) bool { return inSimPackage(pkgPath) }
+// isSeedOwner reports whether pkgPath is (inside) a package that may
+// construct generators from raw seeds.
+func isSeedOwner(pkgPath string) bool { return under(pkgPath, seedOwners) }
 
-// inDeterministicPackage reports whether pkgPath must keep wall-clock,
-// env and raw-rand reads out: the sim packages plus the
-// deterministic-output set.
-func inDeterministicPackage(pkgPath string) bool {
-	if inSimPackage(pkgPath) {
-		return true
-	}
-	p := rel(pkgPath)
-	for dir := range deterministicPackages {
-		if p == dir || strings.HasPrefix(p, dir+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// inModule reports whether pkgPath belongs to this module at all, and
+// InModule reports whether pkgPath belongs to this module at all, and
 // excludes the lint tooling itself plus test fixtures: the analyzers
-// necessarily name the very identifiers they hunt for.
-func inModule(pkgPath string) bool {
+// necessarily name the very identifiers they hunt for. The driver
+// analyzes exactly these packages.
+func InModule(pkgPath string) bool {
 	if pkgPath != ModulePath && !strings.HasPrefix(pkgPath, ModulePath+"/") {
 		return false
 	}
 	p := rel(pkgPath)
-	if p == "internal/analysis" || strings.HasPrefix(p, "internal/analysis/") {
-		return false
-	}
-	if strings.Contains(p, "testdata") {
-		return false
-	}
-	return true
-}
-
-// isSeedDeriver reports whether pkgPath is (inside) the scenario layer —
-// the sanctioned laundering point for raw seed material. Seed-parameter
-// propagation and the seedtaint rule both stop there: handing a seed to
-// scenario is how a run is configured, not how one is smuggled.
-func isSeedDeriver(pkgPath string) bool {
-	p := rel(pkgPath)
-	return p == "internal/scenario" || strings.HasPrefix(p, "internal/scenario/")
-}
-
-// isSeedOwner reports whether pkgPath is (inside) a package that may
-// construct generators from raw seeds.
-func isSeedOwner(pkgPath string) bool {
-	p := rel(pkgPath)
-	for dir := range seedOwners {
-		if p == dir || strings.HasPrefix(p, dir+"/") {
-			return true
-		}
-	}
-	return false
+	return p != "internal/analysis" && !strings.HasPrefix(p, "internal/analysis/") &&
+		!strings.Contains(p, "testdata")
 }

@@ -39,6 +39,18 @@ func keysOfAll(groups []map[string]int) []string {
 	return out
 }
 
+// Nested map ranges visit the inner append once per enclosing range;
+// the finding is still reported once.
+func keysOfNested(m map[string]map[string]int) []string {
+	var out []string
+	for _, inner := range m {
+		for k := range inner {
+			out = append(out, k) // want `append to out inside range over map`
+		}
+	}
+	return out
+}
+
 func fieldAppend(m map[string]int) []string {
 	type acc struct{ names []string }
 	var a acc

@@ -1,6 +1,6 @@
-// Package fx is the walltime clean fixture (analyzed as
+// Package fx is the norawrand call-chain clean fixture (analyzed as
 // ec2wfsim/internal/disk/fx): call chains with no wall-clock or env
-// effects anywhere.
+// reads anywhere.
 package fx
 
 func cost(n int) int { return n * 3 }

@@ -1,6 +1,6 @@
-// Package fx is the norawrand clean fixture: the same calls are legal
-// outside the simulation packages (analyzed as ec2wfsim/internal/sweep/fx,
-// the layer that owns real time and real concurrency).
+// Package fx is the norawrand clean fixture (analyzed as
+// ec2wfsim/internal/sweep/fx): time values and host files that never
+// consult the wall clock, the environment or math/rand.
 package fx
 
 import (
@@ -8,8 +8,10 @@ import (
 	"time"
 )
 
-func Elapsed(start time.Time) time.Duration { return time.Since(start) }
+func Elapsed(start, end time.Time) time.Duration { return end.Sub(start) }
 
-func Stamp() time.Time { return time.Now() }
+func Epoch(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
-func Debug() bool { return os.Getenv("EC2WFSIM_DEBUG") != "" }
+func Budget(d time.Duration) time.Duration { return 2*d + time.Second }
+
+func Spec(path string) ([]byte, error) { return os.ReadFile(path) }

@@ -31,7 +31,7 @@ func runWfDirective(pass *Pass) {
 			case d.Analyzer == "":
 				pass.Reportf(d.Pos, "malformed wfvet:ignore: want `//wfvet:ignore <analyzer> <reason>`")
 			case !known[d.Analyzer]:
-				pass.Reportf(d.Pos, "wfvet:ignore names unknown analyzer %q (see `wfvet -rules`)", d.Analyzer)
+				pass.Reportf(d.Pos, "wfvet:ignore names unknown analyzer %q (see `wfvet -catalog`)", d.Analyzer)
 			case d.Reason == "":
 				pass.Reportf(d.Pos, "wfvet:ignore %s without a reason: the justification is mandatory (and reason-less directives suppress nothing)", d.Analyzer)
 			}
