@@ -217,6 +217,20 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcSwitch measures one process sleep: an event scheduled and
+// popped, plus a switch into the process and back to the engine.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	e.Go("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkMaxMinFairness64Flows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()

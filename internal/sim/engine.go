@@ -1,14 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation engine
-// with goroutine-backed processes.
+// with coroutine processes.
 //
 // The engine owns a virtual clock (float64 seconds) and an event heap.
 // Simulation logic is written as ordinary sequential Go code inside
 // processes (see Proc); a process that sleeps or blocks on a synchronization
-// primitive parks its goroutine and hands control back to the engine, which
-// advances the clock to the next event. Exactly one goroutine — either the
-// engine or a single process — runs at any instant, so simulation state
-// needs no locking and runs are bit-for-bit reproducible: events at equal
-// times fire in scheduling order (FIFO by sequence number).
+// primitive parks, switching straight back to the engine, which advances
+// the clock to the next event. Processes are iter.Pull coroutines on the
+// goroutine that calls Run, so exactly one of the engine or a single
+// process runs at any instant, simulation state needs no locking, and runs
+// are bit-for-bit reproducible: events at equal times fire in scheduling
+// order (FIFO by sequence number).
 //
 // Event records are recycled through a free list: a simulation that
 // schedules millions of sleeps and timer re-arms (the flow network's
@@ -91,21 +92,19 @@ func (e *Engine) popEvent() *event {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now      float64
-	seq      int64
-	events   eventHeap
-	free     []*event      // recycled event records
-	yielded  chan struct{} // signaled by a process when it parks or exits
-	cur      *Proc
-	panicVal interface{}
-	procSeq  int
-	live     int     // number of live (started, unfinished) processes
-	daemons  []*Proc // every GoDaemon process, unwound when Run drains
+	now     float64
+	seq     int64
+	events  eventHeap
+	free    []*event // recycled event records
+	cur     *Proc
+	procSeq int
+	live    int     // number of live (started, unfinished) processes
+	daemons []*Proc // every GoDaemon process, unwound when Run drains
 }
 
 // NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{yielded: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current simulated time in seconds.
@@ -239,20 +238,15 @@ func (e *Engine) step() bool {
 		fn := ev.fn
 		fn()
 		e.recycle(ev)
-		if e.panicVal != nil {
-			v := e.panicVal
-			e.panicVal = nil
-			panic(v)
-		}
 		return true
 	}
 	return false
 }
 
 // Run executes events until the queue is empty, then unwinds every
-// daemon still parked (see unwindDaemons). It panics (with the original
-// value) if any process panicked. Run ends the simulation: to advance an
-// engine in steps, use RunUntil.
+// daemon still parked (see unwindDaemons). If a process panicked, Run
+// panics with the process's name and value. Run ends the simulation: to
+// advance an engine in steps, use RunUntil.
 func (e *Engine) Run() {
 	for e.step() {
 	}
@@ -262,25 +256,18 @@ func (e *Engine) Run() {
 	e.unwindDaemons()
 }
 
-// unwindDaemons ends the goroutine of every daemon still parked once the
-// queue has drained. Nothing is left to wake them, and a parked goroutine
+// unwindDaemons ends the coroutine of every daemon still parked once the
+// queue has drained. Nothing is left to wake them, and a parked coroutine
 // would keep its closure — and through it the engine, the network and
 // every cache — reachable for the life of the host process. Each daemon
-// is resumed directly, without scheduling an event (so Scheduled is
-// unchanged), and exits through runtime.Goexit, running its deferred
-// calls, which must not block.
+// is stopped directly, without scheduling an event (so Scheduled is
+// unchanged): its park panics with errUnwind, which runs its deferred
+// calls (they must not block) and is recovered where the body started.
 func (e *Engine) unwindDaemons() {
 	for i, p := range e.daemons {
 		e.daemons[i] = nil
-		if p.finished {
-			continue
-		}
-		p.unwinding = true
-		e.resume(p)
-		if e.panicVal != nil {
-			v := e.panicVal
-			e.panicVal = nil
-			panic(v)
+		if !p.finished {
+			p.stop()
 		}
 	}
 	e.daemons = e.daemons[:0]
@@ -315,15 +302,14 @@ func (e *Engine) wake(p *Proc) {
 	e.schedule(e.now, p.resumeFn)
 }
 
-// resume hands control to a parked process and waits for it to park again
-// or exit.
+// resume switches to a parked process and returns once it parks again or
+// ends. A panic in the process leaves through here, wrapped by start.
 func (e *Engine) resume(p *Proc) {
 	if p.finished {
 		panic("sim: resuming finished process " + p.name)
 	}
 	prev := e.cur
 	e.cur = p
-	p.wakeCh <- struct{}{}
-	<-e.yielded
+	p.next()
 	e.cur = prev
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,11 +122,78 @@ func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	e.Go("boom", func(p *Proc) { panic("kaboom") })
 	defer func() {
-		if recover() == nil {
-			t.Fatal("process panic did not propagate to Run")
+		const want = `sim: process "boom" panicked: kaboom`
+		if r := recover(); r != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
 		}
 	}()
 	e.Run()
+}
+
+// A process that parks through another process's handle is a bug the
+// engine must name, not a silent switch into the wrong coroutine.
+func TestParkingOtherProcPanics(t *testing.T) {
+	e := NewEngine()
+	b := e.Go("b", func(p *Proc) { p.Sleep(5) })
+	e.Go("a", func(p *Proc) { b.Sleep(1) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "b parking while not the running process") {
+			t.Fatalf("Run panicked with %q, want the misuse of b named", msg)
+		}
+	}()
+	e.Run()
+}
+
+func TestResumeFinishedProcPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Go("done", func(*Proc) {})
+	e.Run()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "waking finished process") {
+			t.Fatalf("Resume panicked with %q, want a finished-process panic", msg)
+		}
+	}()
+	p.Resume()
+}
+
+// startHolder starts a process whose body captures a 1 MiB array and
+// closes collected once the array is garbage collected. Building the
+// array here keeps it off the test's own stack.
+func startHolder(e *Engine, collected chan struct{}) *Proc {
+	big := new([1 << 20]byte)
+	runtime.AddCleanup(big, func(c chan struct{}) { close(c) }, collected)
+	return e.Go("holder", func(p *Proc) {
+		p.Sleep(1)
+		big[0]++
+	})
+}
+
+// TestFinishedProcPinsNothing pins that a finished process does not keep
+// its body's closure alive. Finished Procs stay reachable after Run (a
+// semaphore or mailbox pops waiters with s[1:], leaving them in the
+// backing array), so any handle a Proc keeps to its body would pin
+// whatever the body captured, a whole cell in practice.
+func TestFinishedProcPinsNothing(t *testing.T) {
+	e := NewEngine()
+	collected := make(chan struct{})
+	p := startHolder(e, collected)
+	e.Run()
+	deadline := time.Now().Add(time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatal("the finished process still pins its body's closure")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	runtime.KeepAlive(p)
 }
 
 func TestInterleavedProcsDeterministic(t *testing.T) {
@@ -541,24 +609,11 @@ func TestSleepChurnAllocationFree(t *testing.T) {
 	}
 }
 
-// goroutinesSettleTo reports whether the process's goroutine count drops
-// to at most n within a second. An unwound goroutine can still be
-// between its last channel send and its exit, so the count is polled.
-func goroutinesSettleTo(n int) bool {
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > n {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
 // TestRunUnwindsParkedDaemons pins that a drained Run leaves no goroutine
 // behind: a daemon blocked forever on a mailbox is unwound, its deferred
-// calls run, the goroutine count returns to its baseline, and no event
-// is scheduled on the way.
+// calls run, its goroutine is gone by the time Run returns, and no event
+// is scheduled on the way. The goroutine counts are one-sided because the
+// previous test's goroutine may still be exiting, which only lowers them.
 func TestRunUnwindsParkedDaemons(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
@@ -582,11 +637,10 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	if !e.RunUntil(100) {
 		t.Fatal("queue did not drain")
 	}
-	if runtime.NumGoroutine() <= base {
-		t.Fatal("test premise broken: the daemon is not parked on its own goroutine")
-	}
+	parked := runtime.NumGoroutine()
 	scheduled := e.Scheduled()
 	e.Run()
+	n := runtime.NumGoroutine()
 	if got != 3 {
 		t.Errorf("daemon received %d, want 3", got)
 	}
@@ -596,7 +650,10 @@ func TestRunUnwindsParkedDaemons(t *testing.T) {
 	if e.Scheduled() != scheduled {
 		t.Errorf("unwinding scheduled %d event(s)", e.Scheduled()-scheduled)
 	}
-	if !goroutinesSettleTo(base) {
-		t.Errorf("%d goroutines after Run, %d before the engine existed", runtime.NumGoroutine(), base)
+	if n >= parked {
+		t.Errorf("the daemon's goroutine outlived Run: %d goroutines before Run, %d after", parked, n)
+	}
+	if n > base {
+		t.Errorf("%d goroutines after Run, %d before the engine existed", n, base)
 	}
 }

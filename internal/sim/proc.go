@@ -1,34 +1,43 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
+	"iter"
 )
 
-// Proc is a simulation process: a goroutine that runs sequential simulation
-// logic and yields to the engine whenever it sleeps or blocks. A Proc must
-// only be used from its own goroutine (the function passed to Engine.Go).
+// Proc is a simulation process: sequential simulation logic that runs as a
+// coroutine on the engine's goroutine and yields to the engine whenever it
+// sleeps or blocks. A Proc must only be used from its own body (the
+// function passed to Engine.Go).
 type Proc struct {
 	e        *Engine
 	name     string
 	id       int
-	wakeCh   chan struct{}
 	finished bool
 	daemon   bool
-	// unwinding marks a daemon being ended by Engine.Run: its next
-	// resume exits the goroutine instead of returning from park.
-	unwinding bool
+	// next runs the body until it parks or ends, yield parks it and stop
+	// unwinds it (see start).
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 	// resumeFn is the pre-bound resume callback scheduled by Sleep and
 	// wake; binding it once keeps the park/resume cycle allocation-free.
 	resumeFn func()
 }
+
+// errUnwind is what park panics with when Engine.Run stops a parked
+// daemon; start recovers it, so the daemon's deferred calls run and its
+// coroutine ends quietly. Exiting the goroutine instead would not do:
+// iter.Pull re-raises such an exit in the goroutine that called stop.
+var errUnwind = errors.New("sim: daemon unwound")
 
 // Go starts a new process running fn. The process begins executing at the
 // current simulation time (as a scheduled event, so the caller continues
 // first). The name appears in deadlock and misuse panics.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{e: e, name: name, id: e.procSeq, wakeCh: make(chan struct{})}
+	p := &Proc{e: e, name: name, id: e.procSeq}
 	p.resumeFn = func() { e.resume(p) }
 	e.live++
 	e.At(e.now, func() { e.start(p, fn) })
@@ -47,26 +56,28 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// start launches the goroutine for p and waits for its first yield.
+// start pulls p's body as a coroutine and runs it to its first park. Every
+// way the body ends (return, panic, unwind) drops the coroutine handles:
+// a finished Proc can stay reachable from a waiter list, and the handles
+// would pin its body closure. A panic is re-raised with the process named;
+// iter.Pull carries it out of the engine's next or stop call.
 func (e *Engine) start(p *Proc, fn func(p *Proc)) {
-	prev := e.cur
-	e.cur = p
-	//wfvet:ignore simgoroutine the engine itself is the one sanctioned goroutine owner: each Proc runs on a real goroutine but the yielded/wake handshake keeps exactly one runnable at a time, so the interleaving is the event queue's, not the host scheduler's
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
+			r := recover()
 			p.finished = true
+			p.next, p.stop, p.yield = nil, nil, nil
 			if !p.daemon {
 				e.live--
 			}
-			e.yielded <- struct{}{}
+			if r != nil && r != errUnwind {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			}
 		}()
 		fn(p)
-	}()
-	<-e.yielded
-	e.cur = prev
+	})
+	e.resume(p)
 }
 
 // Engine returns the engine this process belongs to.
@@ -78,15 +89,14 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.e.now }
 
-// park yields control to the engine and blocks until resumed.
+// park yields control to the engine until resumed. If Engine.Run stops
+// the process instead, yield returns false and park unwinds the body.
 func (p *Proc) park() {
 	if p.e.cur != p {
 		panic("sim: " + p.name + " parking while not the running process")
 	}
-	p.e.yielded <- struct{}{}
-	<-p.wakeCh
-	if p.unwinding {
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(errUnwind)
 	}
 }
 
