@@ -232,6 +232,52 @@ func compareCells(t *testing.T, what string, got, want []goldenCell) {
 	}
 }
 
+// TestGoldenStriped pins the two PVFS cells at 128 workers, where every
+// read stripes over all 128 servers. Nothing in golden.json runs above 8
+// workers, and these are the cells whose flow graphs are largest, so a
+// solver change that drifts only under wide fan-out fails here.
+func TestGoldenStriped(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("128-worker cells")
+	}
+	var got []goldenCell
+	for _, app := range []string{"epigenome", "broadband"} {
+		cfg := RunConfig{App: app, Storage: "pvfs", Workers: 128}
+		r, err := RunCached(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, goldenCell{
+			Label:      fmt.Sprintf("%s/%s/%d", cfg.App, cfg.Storage, cfg.Workers),
+			Makespan:   r.Makespan,
+			CostHour:   r.CostHour.Total(),
+			CostSecond: r.CostSecond.Total(),
+		})
+	}
+	path := filepath.Join("testdata", "golden_striped.json")
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update-golden to create): %v", err)
+	}
+	var want []goldenCell
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	compareCells(t, "striped pvfs/128", got, want)
+}
+
 // TestGoldenSweepDeterminism asserts the sweep engine's core promise:
 // the same matrix at -parallel 1 and -parallel 8 yields byte-identical
 // results. Fresh caches on both sides so every cell actually runs twice.
