@@ -16,8 +16,8 @@ func TestSteadyStateChurnAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
 	}
-	// The subtest is named after the solver's version label, v1 (the
-	// incremental solver), so the test ID is stable across solver changes.
+	// The subtest is named after the solver's version label, v1, so the
+	// test ID is stable across solver changes.
 	t.Run("v1", func(t *testing.T) {
 		e := sim.NewEngine()
 		n := NewNet(e)

@@ -3,8 +3,8 @@ package flow
 import "ec2wfsim/internal/sim"
 
 // A Batch registers several transfers as one atomic graph update: Add
-// stages shard transfers, Run inserts them all and re-solves their
-// component once, then blocks until every shard completes. This is the
+// stages shard transfers, Run inserts them all and re-solves the network
+// once, then blocks until every shard completes. This is the
 // entry point for striped fan-out I/O (one logical read spread over every
 // PVFS server): N shards cost one reallocation instead of N, and all
 // bookkeeping (the batch itself, the shared completion handle, the shard

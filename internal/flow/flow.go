@@ -13,13 +13,14 @@
 //
 // Rates are recomputed whenever a transfer starts or finishes or a
 // capacity changes, so rates are piecewise constant and completions are
-// exact. The recomputation is incremental: the network maintains an
-// explicit transfer↔resource graph (see solver) and re-solves only the
-// connected component touched by an event, which keeps the per-event cost
-// proportional to the contended neighbourhood instead of the whole active
-// set. Transfer and Pending records, private rate-cap resources
-// (AcquireCap) and the per-event scratch all recycle through free lists,
-// so steady-state transfer churn performs no allocations.
+// exact. The network maintains an explicit transfer↔resource graph, and
+// each event re-solves every active transfer in one pass over it (see
+// solver): on the measured workloads nearly every event's contended
+// neighbourhood already spans most of the active set, so restricting the
+// solve to it cost more than it saved. Transfer and Pending records,
+// private rate-cap resources (AcquireCap) and the per-event scratch all
+// recycle through free lists, so steady-state transfer churn performs no
+// allocations.
 //
 // Fan-out I/O (one logical operation striping over many servers) should
 // register its shards through a Batch: all shards join the graph under a
@@ -52,7 +53,6 @@ type Resource struct {
 	count    int
 	load     float64 // committed allocation, for utilization queries
 	visit    int64
-	dirty    bool
 
 	// pooledCap marks resources minted by AcquireCap; pooled reports
 	// one currently sitting in the free list. ReleaseCap uses them to
@@ -98,8 +98,6 @@ type transfer struct {
 	rate      float64
 	resources []*Resource // deduplicated, in caller order; owned, reused
 	fixed     bool
-	visit     int64
-	id        int64
 }
 
 // Pending is a handle to one or more asynchronous transfers started with
@@ -144,7 +142,6 @@ type Net struct {
 	active     []*transfer // in start order (the solver relies on this)
 	timer      *sim.ReTimer
 	lastUpdate float64
-	nextID     int64
 	sol        solver
 
 	// Free lists: steady-state churn recycles transfer and Pending
@@ -189,7 +186,6 @@ func (n *Net) SetResourceCapacity(r *Resource, capacity float64) {
 		// could report nonsense (> 1) on a drained resource.
 		r.load = 0
 	}
-	n.sol.markDirty(r)
 	n.sol.solve(n.active)
 	n.scheduleNext()
 }
@@ -221,7 +217,7 @@ func (n *Net) StartTransfer(size float64, resources ...*Resource) *Pending {
 	return n.start(size, resources)
 }
 
-// start registers one validated transfer and re-solves its component.
+// start registers one validated transfer and re-solves the network.
 func (n *Net) start(size float64, resources []*Resource) *Pending {
 	pd := n.getPending()
 	t := n.stage(pd, size, resources)
@@ -250,8 +246,6 @@ func (n *Net) stage(pd *Pending, size float64, resources []*Resource) *transfer 
 			t.resources = append(t.resources, r)
 		}
 	}
-	n.nextID++
-	t.id = n.nextID
 	t.pending = pd
 	t.remaining = size
 	pd.refs++
@@ -261,20 +255,17 @@ func (n *Net) stage(pd *Pending, size float64, resources []*Resource) *transfer 
 }
 
 // attach inserts t into the graph: the active list and every crossed
-// resource's membership list (both in start order), marking the touched
-// resources dirty for the next solve.
+// resource's membership list, both in start order.
 func (n *Net) attach(t *transfer) {
 	n.active = append(n.active, t)
 	for _, r := range t.resources {
 		r.members = append(r.members, t)
-		n.sol.markDirty(r)
 	}
 }
 
 // detach removes a completed transfer from the graph, preserving member
-// order, clearing the committed loads of the resources it crossed (the
-// solver recomputes the ones that still carry traffic) and marking them
-// dirty.
+// order, and clears the committed loads of the resources it crossed (the
+// solver recomputes the ones that still carry traffic).
 func (n *Net) detach(t *transfer) {
 	for _, r := range t.resources {
 		for i, m := range r.members {
@@ -286,7 +277,6 @@ func (n *Net) detach(t *transfer) {
 			}
 		}
 		r.load = 0
-		n.sol.markDirty(r)
 	}
 }
 

@@ -525,9 +525,10 @@ func TestAcquireCapRecycles(t *testing.T) {
 	e.Run()
 }
 
-// Incremental rail: an event in one component must not disturb the rates
-// of transfers in a disjoint component (their completion times stay
-// exact), and a capacity change re-solves only its component.
+// Component rail: the solver re-solves every component on each event, so
+// an event in one component must leave the rates of transfers in a
+// disjoint component exactly as they were (their completion times stay
+// exact), and a capacity change must still re-rate its own component.
 func TestDisjointComponentsSolveIndependently(t *testing.T) {
 	e := sim.NewEngine()
 	n := NewNet(e)

@@ -11,9 +11,12 @@ import (
 	"ec2wfsim/internal/sim"
 )
 
-// BenchmarkReallocate measures the incremental solver against the
-// preserved from-scratch oracle on the two transfer-graph shapes that
-// dominate the paper's experiments:
+// BenchmarkReallocate measures the solver against the preserved
+// from-scratch oracle on the two transfer-graph shapes that dominate the
+// paper's experiments. Both solve every active flow on every event with
+// the same arithmetic, so the gap is the graph bookkeeping: persistent
+// membership lists instead of per-solve rebuilt ones, batched fan-outs
+// and pooled records.
 //
 //   - pvfs: every logical read fans out over all servers' disks and NICs
 //     under a shared client window — one densely connected component,
@@ -21,7 +24,8 @@ import (
 //     instead of one per shard) and from the pooled records.
 //   - montage: many clients hammering one NFS server interleaved with
 //     node-local disk I/O — the local transfers form singleton components
-//     the dirty-set solver re-solves without touching the server clique.
+//     that each solve visits alongside the server clique, a handful of
+//     extra incidences per event.
 //
 // TestEmitFlowBench (-flowbench-out) records the comparison in
 // BENCH_flow.json so the performance trajectory has data points.
@@ -126,7 +130,7 @@ func montageShape(build func(e *sim.Engine, caps []float64) flowDriver) float64 
 // the 16 servers of one read are distinct and neighbouring clients'
 // stripe sets interlock into one large component). Arrivals stagger so
 // roughly a thousand transfers are concurrently active — too many for the
-// oracle, so only the incremental solver runs it.
+// oracle, which re-solves once per shard, so only the solver runs it.
 func scale1000Shape(build func(e *sim.Engine, caps []float64) flowDriver) float64 {
 	const (
 		nNodes   = 1000
@@ -173,8 +177,8 @@ var flowShapes = []struct {
 	{"montage", montageShape},
 }
 
-func buildIncremental(e *sim.Engine, caps []float64) flowDriver { return newRealDriver(e, caps) }
-func buildOracle(e *sim.Engine, caps []float64) flowDriver      { return newOracleDriver(e, caps) }
+func buildSolver(e *sim.Engine, caps []float64) flowDriver { return newRealDriver(e, caps) }
+func buildOracle(e *sim.Engine, caps []float64) flowDriver { return newOracleDriver(e, caps) }
 
 // TestShapesAgree pins the solver and the oracle to bit-identical
 // makespans on the benchmark shapes, so the speedup comparison is apples
@@ -182,10 +186,10 @@ func buildOracle(e *sim.Engine, caps []float64) flowDriver      { return newOrac
 func TestShapesAgree(t *testing.T) {
 	t.Parallel()
 	for _, shape := range flowShapes {
-		inc := shape.run(buildIncremental)
+		got := shape.run(buildSolver)
 		orc := shape.run(buildOracle)
-		if inc != orc {
-			t.Errorf("%s: makespan diverged: incremental %v, oracle %v", shape.name, inc, orc)
+		if got != orc {
+			t.Errorf("%s: makespan diverged: solver %v, oracle %v", shape.name, got, orc)
 		}
 	}
 }
@@ -194,8 +198,8 @@ func TestShapesAgree(t *testing.T) {
 // makespan.
 func TestScale1000Smoke(t *testing.T) {
 	t.Parallel()
-	got := scale1000Shape(buildIncremental)
-	if again := scale1000Shape(buildIncremental); again != got {
+	got := scale1000Shape(buildSolver)
+	if again := scale1000Shape(buildSolver); again != got {
 		t.Fatalf("1000-node makespan not deterministic: %v vs %v", got, again)
 	}
 	// The last client arrives at 49.95s and its reads need over 5s of
@@ -208,10 +212,10 @@ func TestScale1000Smoke(t *testing.T) {
 
 func BenchmarkReallocate(b *testing.B) {
 	for _, shape := range flowShapes {
-		b.Run(shape.name+"/incremental", func(b *testing.B) {
+		b.Run(shape.name+"/solver", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				shape.run(buildIncremental)
+				shape.run(buildSolver)
 			}
 		})
 		b.Run(shape.name+"/oracle", func(b *testing.B) {
@@ -221,29 +225,29 @@ func BenchmarkReallocate(b *testing.B) {
 			}
 		})
 	}
-	b.Run("scale1000/incremental", func(b *testing.B) {
+	b.Run("scale1000/solver", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scale1000Shape(buildIncremental)
+			scale1000Shape(buildSolver)
 		}
 	})
 }
 
 var flowBenchOut = flag.String("flowbench-out", "",
-	"write BenchmarkReallocate incremental-vs-oracle results to this JSON file")
+	"write BenchmarkReallocate solver-vs-oracle results to this JSON file")
 
 // flowBenchRow is one shape's comparison in BENCH_flow.json. The scale1000
-// row is incremental-only (the oracle cannot afford the shape), so its
-// oracle and speedup fields stay zero.
+// row is solver-only (the oracle cannot afford the shape), so its oracle
+// and speedup fields stay zero.
 type flowBenchRow struct {
-	Shape              string  `json:"shape"`
-	IncrementalNsOp    int64   `json:"incremental_ns_op"`
-	OracleNsOp         int64   `json:"oracle_ns_op,omitempty"`
-	Speedup            float64 `json:"speedup,omitempty"`
-	IncrementalAllocs  int64   `json:"incremental_allocs_op"`
-	OracleAllocs       int64   `json:"oracle_allocs_op,omitempty"`
-	IncrementalBytesOp int64   `json:"incremental_bytes_op"`
-	OracleBytesOp      int64   `json:"oracle_bytes_op,omitempty"`
+	Shape         string  `json:"shape"`
+	SolverNsOp    int64   `json:"solver_ns_op"`
+	OracleNsOp    int64   `json:"oracle_ns_op,omitempty"`
+	Speedup       float64 `json:"speedup,omitempty"`
+	SolverAllocs  int64   `json:"solver_allocs_op"`
+	OracleAllocs  int64   `json:"oracle_allocs_op,omitempty"`
+	SolverBytesOp int64   `json:"solver_bytes_op"`
+	OracleBytesOp int64   `json:"oracle_bytes_op,omitempty"`
 }
 
 // benchMedian runs each measurement function five times in interleaved
@@ -296,16 +300,16 @@ func TestEmitFlowBench(t *testing.T) {
 	}{
 		Benchmark: "BenchmarkReallocate",
 		HostCPUs:  runtime.NumCPU(),
-		Note: "incremental dirty-set solver vs preserved from-scratch oracle; " +
-			"median of 5 interleaved runs per mode; see internal/flow/flowbench_test.go. " +
-			"scale1000 runs the incremental solver only.",
+		Note: "one-pass solver over persistent membership lists vs preserved " +
+			"from-scratch oracle; median of 5 interleaved runs per mode; " +
+			"see internal/flow/flowbench_test.go. scale1000 runs the solver only.",
 	}
 	for _, shape := range flowShapes {
 		med := benchMedian(
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					shape.run(buildIncremental)
+					shape.run(buildSolver)
 				}
 			},
 			func(b *testing.B) {
@@ -315,34 +319,34 @@ func TestEmitFlowBench(t *testing.T) {
 				}
 			},
 		)
-		inc, orc := med[0], med[1]
+		sol, orc := med[0], med[1]
 		row := flowBenchRow{
-			Shape:              shape.name,
-			IncrementalNsOp:    inc.NsPerOp(),
-			OracleNsOp:         orc.NsPerOp(),
-			Speedup:            float64(orc.NsPerOp()) / float64(inc.NsPerOp()),
-			IncrementalAllocs:  inc.AllocsPerOp(),
-			OracleAllocs:       orc.AllocsPerOp(),
-			IncrementalBytesOp: inc.AllocedBytesPerOp(),
-			OracleBytesOp:      orc.AllocedBytesPerOp(),
+			Shape:         shape.name,
+			SolverNsOp:    sol.NsPerOp(),
+			OracleNsOp:    orc.NsPerOp(),
+			Speedup:       float64(orc.NsPerOp()) / float64(sol.NsPerOp()),
+			SolverAllocs:  sol.AllocsPerOp(),
+			OracleAllocs:  orc.AllocsPerOp(),
+			SolverBytesOp: sol.AllocedBytesPerOp(),
+			OracleBytesOp: orc.AllocedBytesPerOp(),
 		}
 		out.Rows = append(out.Rows, row)
-		t.Logf("%s: incremental %d ns/op (%.2fx), oracle %d ns/op",
-			row.Shape, row.IncrementalNsOp, row.Speedup, row.OracleNsOp)
+		t.Logf("%s: solver %d ns/op (%.2fx), oracle %d ns/op",
+			row.Shape, row.SolverNsOp, row.Speedup, row.OracleNsOp)
 	}
 	s1000 := benchMedian(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scale1000Shape(buildIncremental)
+			scale1000Shape(buildSolver)
 		}
 	})[0]
 	out.Rows = append(out.Rows, flowBenchRow{
-		Shape:              "scale1000",
-		IncrementalNsOp:    s1000.NsPerOp(),
-		IncrementalAllocs:  s1000.AllocsPerOp(),
-		IncrementalBytesOp: s1000.AllocedBytesPerOp(),
+		Shape:         "scale1000",
+		SolverNsOp:    s1000.NsPerOp(),
+		SolverAllocs:  s1000.AllocsPerOp(),
+		SolverBytesOp: s1000.AllocedBytesPerOp(),
 	})
-	t.Logf("scale1000: incremental %d ns/op (%d allocs)", s1000.NsPerOp(), s1000.AllocsPerOp())
+	t.Logf("scale1000: solver %d ns/op (%d allocs)", s1000.NsPerOp(), s1000.AllocsPerOp())
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // event script (blocking transfers, batched fan-outs with pooled window
 // caps, capacity changes, load probes, all at fuzzed times over a fuzzed
 // resource set) and drives it through the from-scratch oracle preserved
-// in oracle_test.go and the incremental solver. The two must agree bit
+// in oracle_test.go and the shipping solver. The two must agree bit
 // for bit: every completion timestamp, every probed load, the final clock
 // and the byte totals — the same discipline the golden file enforces at
 // paper scale.

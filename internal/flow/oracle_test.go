@@ -6,14 +6,16 @@ import (
 	"ec2wfsim/internal/sim"
 )
 
-// This file preserves the pre-refactor from-scratch water-filling solver
-// as a self-contained oracle: a Net that recomputes the max-min fair rate
-// of every active transfer on every event (transfer start, finish,
-// capacity change), exactly as the shipping implementation did before the
-// incremental dirty-set solver replaced it. The differential fuzzer
-// (FuzzReallocate) and BenchmarkReallocate drive identical event
-// sequences through this oracle and the real Net and require bit-equal
-// timestamps and loads.
+// This file preserves the original from-scratch water-filling solver as a
+// self-contained oracle: a Net that recomputes the max-min fair rate of
+// every active transfer on every event (transfer start, finish, capacity
+// change), rebuilding each resource's flow list from the active set. The
+// shipping solver performs the same pass over persistent membership lists
+// (it once restricted each solve to the components an event touched; that
+// search was removed because nearly every measured solve covered all
+// active flows anyway). The differential fuzzer (FuzzReallocate) and
+// BenchmarkReallocate drive identical event sequences through this oracle
+// and the real Net and require bit-equal timestamps and loads.
 //
 // The code is the historical implementation verbatim apart from renames
 // (oracle* prefixes) and the removal of the stats the comparison does not

@@ -285,8 +285,8 @@ func TestGoldenSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale grid")
 	}
-	// The subtest is named after the flow solver's version label, v1 (the
-	// incremental solver), so the test ID is stable across solver changes.
+	// The subtest is named after the flow solver's version label, v1, so
+	// the test ID is stable across solver changes.
 	t.Run("flow-v1", func(t *testing.T) {
 		t.Parallel()
 		cfgs := GridConfigs("epigenome")

@@ -16,9 +16,10 @@ import (
 // scaling and the cost of the extra nodes. This is the ROADMAP's open
 // "larger matrices" item, and it is also the workload that stresses the
 // flow solver hardest — at 32 nodes a single PVFS read fans out over 32
-// disks, which is exactly the regime the incremental dirty-set solver
-// and batched fan-outs were built for. The same matrix is expressible
-// through the public API as ec2wfsim.Sweep with VaryWorkers(8, 16, 32).
+// disks and joins every server into one component, which each event's
+// one-pass solve walks in full; batched fan-outs keep that to one solve
+// per read. The same matrix is expressible through the public API as
+// ec2wfsim.Sweep with VaryWorkers(8, 16, 32).
 
 // ScaleSizes is the canonical cluster-size ladder, the paper's largest
 // configuration (8 nodes) leading as the baseline.

@@ -205,11 +205,12 @@ func deployRaw(seed uint64, sysName string, workers int) (*sim.Engine, *cluster.
 	return e, c, sys
 }
 
-// checkNetQuiescent pins the flow-graph invariant the incremental solver
-// relies on between workflows: once a run completes, the transfer graph
-// is drained — no active transfers, and every cluster resource reports
-// zero committed load. A stale load or a leaked membership would poison
-// the dirty-set solve of whatever runs on the network next.
+// checkNetQuiescent pins the flow-graph invariant the solver relies on
+// between workflows: once a run completes, the transfer graph is drained —
+// no active transfers, and every cluster resource reports zero committed
+// load. The solver only visits resources that active transfers cross, so
+// a stale load on an idle resource would never be corrected, and a leaked
+// membership would poison the solve of whatever runs on the network next.
 func checkNetQuiescent(t *testing.T, net *flow.Net, c *cluster.Cluster) {
 	t.Helper()
 	if n := net.Active(); n != 0 {
