@@ -1,6 +1,7 @@
 // Command wfbench regenerates every table and figure from the paper's
 // evaluation: Table I, Figures 2-4 (runtime) and 5-7 (cost), the Section
-// III.C disk characteristics, and the ablation experiments from DESIGN.md.
+// III.C disk characteristics, and the named ablation experiments (the
+// README's "CLIs" section lists the common invocations).
 // All experiment matrices dispatch through the concurrent sweep engine;
 // results are bit-for-bit identical at any parallelism.
 //

@@ -26,8 +26,8 @@
 // (MarshalSpec/ParseSpec), so the same matrix can run from a file via
 // `wfbench -spec`.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-simulation comparison of every table and figure.
+// The README's "Architecture" section describes the simulation's layers,
+// and its "Library API" section this package.
 package ec2wfsim
 
 import (

@@ -15,11 +15,11 @@
 // capacity changes, so rates are piecewise constant and completions are
 // exact. The network maintains an explicit transfer↔resource graph, and
 // each event re-solves every active transfer in one pass over it (see
-// solver): on the measured workloads nearly every event's contended
-// neighbourhood already spans most of the active set, so restricting the
-// solve to it cost more than it saved. Transfer and Pending records,
-// private rate-cap resources (AcquireCap) and the per-event scratch all
-// recycle through free lists, so steady-state transfer churn performs no
+// solver): on the measured workloads an event's contended neighbourhood
+// usually spans most of the active set, so restricting the solve to it
+// costs more than it saves. Transfer and Pending records, private
+// rate-cap resources (AcquireCap) and the per-event scratch all recycle
+// through free lists, so steady-state transfer churn performs no
 // allocations.
 //
 // Fan-out I/O (one logical operation striping over many servers) should

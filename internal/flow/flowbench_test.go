@@ -287,7 +287,7 @@ func benchMedian(fs ...func(b *testing.B)) []testing.BenchmarkResult {
 // TestEmitFlowBench runs the reallocation benchmarks and records the
 // comparison. It only runs when -flowbench-out is set:
 //
-//	go test -run TestEmitFlowBench -flowbench-out ../../BENCH_flow.json ./internal/flow
+//	go test -run TestEmitFlowBench ./internal/flow -args -flowbench-out=../../BENCH_flow.json
 func TestEmitFlowBench(t *testing.T) {
 	if *flowBenchOut == "" {
 		t.Skip("-flowbench-out not set")

@@ -10,12 +10,10 @@ import (
 // self-contained oracle: a Net that recomputes the max-min fair rate of
 // every active transfer on every event (transfer start, finish, capacity
 // change), rebuilding each resource's flow list from the active set. The
-// shipping solver performs the same pass over persistent membership lists
-// (it once restricted each solve to the components an event touched; that
-// search was removed because nearly every measured solve covered all
-// active flows anyway). The differential fuzzer (FuzzReallocate) and
-// BenchmarkReallocate drive identical event sequences through this oracle
-// and the real Net and require bit-equal timestamps and loads.
+// shipping solver performs the same pass over persistent membership
+// lists. The differential fuzzer (FuzzReallocate) and BenchmarkReallocate
+// drive identical event sequences through this oracle and the real Net
+// and require bit-equal timestamps and loads.
 //
 // The code is the historical implementation verbatim apart from renames
 // (oracle* prefixes) and the removal of the stats the comparison does not

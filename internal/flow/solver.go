@@ -10,12 +10,12 @@ package flow
 // is rebuilt per solve, and every simulated timestamp is bit-identical to
 // the oracle's.
 //
-// The solver used to restrict each solve to the connected components
-// reachable from the resources an event touched. On measured workloads
-// that search did not pay for itself: 99% of solves on the 128-worker
-// PVFS cells already covered every active flow (a striped read joins all
-// servers into one component), and even the 1000-node non-PVFS cells
-// solve half or more of their active flows per event. Solving every
+// There is deliberately no search for the components an event touched:
+// on the 128-worker PVFS cells 99% of solves cover every active flow
+// anyway (a striped read joins all servers into one component), and even
+// on the 1000-node non-PVFS cells a component solve covers 43-80% of the
+// active flows, so walking the graph from the touched resources costs
+// more than the flows it skips (BENCH_solve.json). Solving every
 // component in one pass is exact, because components share no resource:
 // a round that fixes flows in one component leaves the residuals and
 // counts of every other component untouched, and within a component the

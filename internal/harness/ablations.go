@@ -19,7 +19,8 @@ type AblationResult struct {
 	Result *RunResult
 }
 
-// Ablation runs one of the named ablation experiments from DESIGN.md.
+// Ablation runs one named ablation experiment: a key of ablations, or one
+// of the studies AblationSweep dispatches by name.
 func Ablation(name string) ([]AblationResult, string, error) {
 	return AblationSweep(name, SweepOptions{})
 }
@@ -138,7 +139,7 @@ func runAblation(a ablation, opt SweepOptions) ([]AblationResult, error) {
 	return results, nil
 }
 
-// ablations declares every experiment from DESIGN.md.
+// ablations declares every fixed-cell ablation experiment.
 var ablations = map[string]ablation{
 	// ablateWorkerType checks the paper's Section III.B premise: "we
 	// found that the c1.xlarge type delivers the best overall performance

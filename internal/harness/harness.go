@@ -1,7 +1,7 @@
 // Package harness defines and runs the paper's experiments: one runner
 // for a single (application x storage x cluster-size) cell, and generators
 // for every table and figure in the evaluation (Table I, Figures 2-7) plus
-// the ablations called out in DESIGN.md.
+// the named ablations (see Ablation).
 package harness
 
 import (

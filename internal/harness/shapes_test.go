@@ -82,8 +82,8 @@ func TestFig2GlusterBestForMontage(t *testing.T) {
 
 // "NFS does relatively well for Montage, beating even the local disk in
 // the single node case." Our calibration renders the 1-node comparison as
-// a near-tie (within 5%) — see EXPERIMENTS.md for the discussion — and
-// NFS clearly ahead of S3 and PVFS at small scales.
+// a near-tie (within 5%) and NFS clearly ahead of S3 and PVFS at small
+// scales.
 func TestFig2NFSRelativelyGoodForMontage(t *testing.T) {
 	t.Parallel()
 	cells := paperGrid(t, "montage")
