@@ -196,7 +196,7 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 		fmt.Print(out)
 		return nil
 	case fig != 0:
-		return printFigure(fig, nil, opt)
+		return printFigure(fig, opt)
 	}
 	// Everything, in paper order. One grid sweep feeds each runtime
 	// figure and its cost companion (replicates are not memoized, so at
@@ -243,13 +243,9 @@ func runSpec(path, eventsDir string, opt harness.SweepOptions) error {
 	if err != nil {
 		return err
 	}
-	cells, err := e.Cells()
+	cfgs, err := e.Cells()
 	if err != nil {
 		return err
-	}
-	cfgs := make([]harness.RunConfig, len(cells))
-	for i, s := range cells {
-		cfgs[i] = harness.SpecConfig(s)
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -466,7 +462,7 @@ func printTableI() error {
 	return nil
 }
 
-func printFigure(fig int, cells []harness.Cell, opt harness.SweepOptions) error {
+func printFigure(fig int, opt harness.SweepOptions) error {
 	if fig >= 2 && fig <= 4 {
 		out, _, err := harness.RuntimeFigureSweep(fig, opt)
 		if err != nil {
@@ -476,7 +472,7 @@ func printFigure(fig int, cells []harness.Cell, opt harness.SweepOptions) error 
 		return nil
 	}
 	if fig >= 5 && fig <= 7 {
-		out, _, err := harness.CostFigureSweep(fig, cells, opt)
+		out, _, err := harness.CostFigureSweep(fig, opt)
 		if err != nil {
 			return err
 		}

@@ -101,7 +101,7 @@ func run(spec *scenario.Spec, specPath, emitSpec, cacheDir string, seeds, parall
 	if emitSpec != "" {
 		return writeSpec(*spec, seeds, emitSpec)
 	}
-	cfg := harness.SpecConfig(*spec)
+	cfg := *spec
 	if seeds > 1 {
 		if gantt || csvPath != "" || eventsPath != "" {
 			return fmt.Errorf("-gantt, -csv and -events trace a single execution; drop them or run without -seeds")

@@ -161,14 +161,8 @@ func (cfg Config) runConfig(opts ...Option) harness.RunConfig {
 		DataAware: cfg.DataAware,
 		Seed:      cfg.Seed,
 	}
-	if len(opts) > 0 {
-		spec := rc.Spec()
-		for _, o := range opts {
-			o.apply(&spec)
-		}
-		w := rc.Workflow
-		rc = harness.SpecConfig(spec)
-		rc.Workflow = w
+	for _, o := range opts {
+		o.apply(&rc)
 	}
 	return rc
 }
@@ -324,14 +318,16 @@ type Experiment struct {
 }
 
 // scenarioExperiment lowers the facade experiment onto the scenario
-// layer; the Workflow (if any) rides alongside, not in the spec.
+// layer. A custom Workflow rides in the base spec, out of its JSON, and
+// every expanded cell shares it read-only (the DAG is immutable during
+// execution; all run state lives in wms).
 func (e Experiment) scenarioExperiment() scenario.Experiment {
 	axes := make([]scenario.Axis, len(e.Axes))
 	for i, ax := range e.Axes {
 		axes[i] = scenario.Axis{Field: ax.Field, Values: ax.Values}
 	}
 	return scenario.Experiment{
-		Base:  e.Base.runConfig(e.Options...).Spec(),
+		Base:  e.Base.runConfig(e.Options...),
 		Axes:  axes,
 		Seeds: e.Seeds,
 	}
@@ -339,18 +335,7 @@ func (e Experiment) scenarioExperiment() scenario.Experiment {
 
 // cells expands the experiment grid into harness configurations.
 func (e Experiment) cells() ([]harness.RunConfig, error) {
-	specs, err := e.scenarioExperiment().Cells()
-	if err != nil {
-		return nil, err
-	}
-	cfgs := make([]harness.RunConfig, len(specs))
-	for i, s := range specs {
-		cfgs[i] = harness.SpecConfig(s)
-		// A custom workflow is shared read-only across cells (the DAG is
-		// immutable during execution; all run state lives in wms).
-		cfgs[i].Workflow = e.Base.Workflow
-	}
-	return cfgs, nil
+	return e.scenarioExperiment().Cells()
 }
 
 // MarshalSpec serializes the experiment as an indented JSON spec —
@@ -451,8 +436,7 @@ func (o SweepOptions) harness(ctx context.Context) harness.SweepOptions {
 				Err: u.Err, Cached: u.Cached,
 			}
 			if u.Config.Workflow == nil {
-				spec := u.Config.Spec()
-				su.Key = scenario.Key(&spec)
+				su.Key = scenario.Key(&u.Config)
 			}
 			if u.Err == nil && u.Result != nil {
 				su.Result = newResult(u.Result)

@@ -5,42 +5,23 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"ec2wfsim/internal/cost"
 	"ec2wfsim/internal/resultcache"
 	"ec2wfsim/internal/scenario"
-	"ec2wfsim/internal/storage"
 )
 
 // The persistent result cache (internal/resultcache) sits under the
 // process-wide memo: a cell that misses the in-process cache consults
 // the on-disk store before simulating, so repeated cells are free
 // across invocations, CI runs and users sharing a store directory.
-// Cached entries carry the canonical metric row — everything the JSON
-// and CSV exports, the replicate aggregations and the figures consume —
-// but not the execution trace: a cache-served RunResult has nil Spans
-// and Cluster, which is why trace-rendering paths (wfsim -gantt/-csv,
-// event recording, Amortize) never run through the cache.
-
-// cacheRow is the canonical serialized payload of one cached result.
-// Field order is fixed by the struct, so the encoding is a pure
+// A cached row is RunResult's own JSON: the spec and every metric the
+// JSON and CSV exports, the replicate aggregations and the figures
+// consume, in RunResult's fixed field order, so the encoding is a pure
 // function of the result and cold-vs-warm exports are byte-identical.
-type cacheRow struct {
-	Spec            scenario.Spec  `json:"spec"`
-	Makespan        float64        `json:"makespan_s"`
-	ProvisionTime   float64        `json:"provision_s"`
-	Utilization     float64        `json:"utilization"`
-	MemoryWaits     int64          `json:"memory_waits"`
-	Failures        int64          `json:"failures"`
-	Retries         int64          `json:"retries"`
-	Outages         int64          `json:"outages"`
-	OutageKills     int64          `json:"outage_kills"`
-	LostWorkSeconds float64        `json:"lost_work_s"`
-	Checkpoints     int64          `json:"checkpoints"`
-	CheckpointBytes float64        `json:"checkpoint_bytes"`
-	Stats           storage.Stats  `json:"stats"`
-	CostHour        cost.Breakdown `json:"cost_hour"`
-	CostSecond      cost.Breakdown `json:"cost_second"`
-}
+// The row leaves out the execution trace: a cache-served RunResult has
+// nil Spans and Cluster, which is why trace-rendering paths (wfsim
+// -gantt/-csv, event recording, Amortize) never run through the cache.
+// testdata/cache_row.json pins the row's bytes: changing them changes
+// the entry format, which must bump resultcache.SchemaVersion.
 
 // CacheKey derives the persistent-store key for a configuration:
 // the canonical scenario key of the effective spec (replicates carry
@@ -52,68 +33,36 @@ func CacheKey(cfg RunConfig) (resultcache.Key, bool) {
 	if cfg.Workflow != nil {
 		return resultcache.Key{}, false
 	}
-	spec := cfg.Spec()
-	seed := spec.Seed
+	seed := cfg.Seed
 	if seed == 0 {
 		seed = DefaultSeed
 	}
-	return resultcache.Key{Cell: scenario.Key(&spec), Seed: seed}, true
+	return resultcache.Key{Cell: scenario.Key(&cfg), Seed: seed}, true
 }
 
 // encodeRow renders a result's canonical cached payload.
 func encodeRow(r *RunResult) ([]byte, error) {
-	spec := r.Config.Spec()
-	return json.Marshal(cacheRow{
-		Spec:            spec,
-		Makespan:        r.Makespan,
-		ProvisionTime:   r.ProvisionTime,
-		Utilization:     r.Utilization,
-		MemoryWaits:     r.MemoryWaits,
-		Failures:        r.Failures,
-		Retries:         r.Retries,
-		Outages:         r.Outages,
-		OutageKills:     r.OutageKills,
-		LostWorkSeconds: r.LostWorkSeconds,
-		Checkpoints:     r.Checkpoints,
-		CheckpointBytes: r.CheckpointBytes,
-		Stats:           r.Stats,
-		CostHour:        r.CostHour,
-		CostSecond:      r.CostSecond,
-	})
+	return json.Marshal(r)
 }
 
 // decodeRow rebuilds a RunResult from a cached payload. Decoding is
 // strict — unknown fields mean the entry was written by a newer layout
 // under the same schema version, and recomputing beats misreading. The
 // embedded spec must render the same canonical cell key the entry was
-// fetched under, closing the loop between file content and key.
+// fetched under, closing the loop between file content and key; the
+// result then carries the caller's configuration.
 func decodeRow(data []byte, cfg RunConfig, key resultcache.Key) (*RunResult, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var row cacheRow
-	if err := dec.Decode(&row); err != nil {
+	var r RunResult
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("harness: cached row undecodable: %w", err)
 	}
-	if got := scenario.Key(&row.Spec); got != key.Cell {
+	if got := scenario.Key(&r.Config); got != key.Cell {
 		return nil, fmt.Errorf("harness: cached row spec renders key %q, want %q", got, key.Cell)
 	}
-	return &RunResult{
-		Config:          cfg,
-		Makespan:        row.Makespan,
-		ProvisionTime:   row.ProvisionTime,
-		Utilization:     row.Utilization,
-		MemoryWaits:     row.MemoryWaits,
-		Failures:        row.Failures,
-		Retries:         row.Retries,
-		Outages:         row.Outages,
-		OutageKills:     row.OutageKills,
-		LostWorkSeconds: row.LostWorkSeconds,
-		Checkpoints:     row.Checkpoints,
-		CheckpointBytes: row.CheckpointBytes,
-		Stats:           row.Stats,
-		CostHour:        row.CostHour,
-		CostSecond:      row.CostSecond,
-	}, nil
+	r.Config = cfg
+	return &r, nil
 }
 
 // cachedRun wraps a cell runner with the persistent store: consult

@@ -96,17 +96,36 @@ func normalizeRates(rates []float64) []float64 {
 	return dedup
 }
 
-// FailureCell is one aggregated (application, storage, rate) cell of the
-// study, paired with its failure-free baseline.
-type FailureCell struct {
-	Config   RunConfig  // the cell's configuration, FailureRate included
+// PairedCell is one aggregated cell of the failure or outage study,
+// paired with its baseline: the same application and storage with no
+// failures, outages or checkpointing.
+type PairedCell struct {
+	Config   RunConfig  // the cell's configuration, study knobs included
 	Rep      Replicated // aggregate over Sweep.Seeds replicates
-	Baseline Replicated // the rate-0 aggregate for the same app/storage
+	Baseline Replicated // the knob-free aggregate for the same app/storage
 }
 
+// FailureCell is one (application, storage, rate) cell of the failure
+// study.
+type FailureCell = PairedCell
+
+// pairCells pairs each cell's aggregate with its baseline: cfgs comes in
+// blocks of block cells sharing (app, storage), each led by the
+// baseline.
+func pairCells(cfgs []RunConfig, reps []Replicated, block int) []PairedCell {
+	cells := make([]PairedCell, len(reps))
+	for i, rep := range reps {
+		cells[i] = PairedCell{Config: cfgs[i], Rep: rep, Baseline: reps[i-i%block]}
+	}
+	return cells
+}
+
+// Checkpointed reports whether this cell runs the checkpoint/restart arm.
+func (c PairedCell) Checkpointed() bool { return c.Config.CheckpointInterval > 0 }
+
 // MakespanInflation is the relative makespan increase over the
-// failure-free baseline (0.25 = 25% slower).
-func (c FailureCell) MakespanInflation() float64 {
+// baseline (0.25 = 25% slower).
+func (c PairedCell) MakespanInflation() float64 {
 	if c.Baseline.Makespan.Mean <= 0 {
 		return 0
 	}
@@ -115,10 +134,11 @@ func (c FailureCell) MakespanInflation() float64 {
 
 // MakespanDelta summarizes the per-replicate paired differences between
 // this cell and its baseline. Replicate j of both cells shares its
-// jitter seeds (see CellSeed), so pairing cancels the provisioning
-// spread: the stddev here is the uncertainty of the overhead itself,
-// not the raw run-to-run spread.
-func (c FailureCell) MakespanDelta() sweep.Summary {
+// jitter seeds (CellSeed excludes the failure, outage and checkpoint
+// fields), so pairing cancels the provisioning spread: the stddev here
+// is the uncertainty of the overhead itself, not the raw run-to-run
+// spread.
+func (c PairedCell) MakespanDelta() sweep.Summary {
 	n := len(c.Rep.Runs)
 	if len(c.Baseline.Runs) < n {
 		n = len(c.Baseline.Runs)
@@ -131,11 +151,11 @@ func (c FailureCell) MakespanDelta() sweep.Summary {
 }
 
 // CostOverhead is the relative per-second-billing cost increase over
-// the failure-free baseline. Per-second billing is the sensitive metric:
-// per-hour charges round occupancy up, absorbing retry inflation until
-// it crosses an hour boundary (visible in the rendered table, where the
-// per-hour column barely moves).
-func (c FailureCell) CostOverhead() float64 {
+// the baseline. Per-second billing is the sensitive metric: per-hour
+// charges round occupancy up, absorbing retry inflation until it
+// crosses an hour boundary (visible in the rendered failure table,
+// where the per-hour column barely moves).
+func (c PairedCell) CostOverhead() float64 {
 	if c.Baseline.CostSecond.Mean <= 0 {
 		return 0
 	}
@@ -182,15 +202,7 @@ func FailureStudy(o FailureStudyOptions) ([]FailureCell, string, error) {
 	}
 	// cfgs is blocks of len(o.Rates) sharing (app, storage); the first
 	// entry of each block is the rate-0 baseline.
-	nRates := len(o.Rates)
-	cells := make([]FailureCell, len(reps))
-	for i, rep := range reps {
-		cells[i] = FailureCell{
-			Config:   cfgs[i],
-			Rep:      rep,
-			Baseline: reps[i-i%nRates],
-		}
-	}
+	cells := pairCells(cfgs, reps, len(o.Rates))
 	return cells, renderFailureStudy(o, cells), nil
 }
 

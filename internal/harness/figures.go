@@ -50,12 +50,6 @@ func TableI() (*report.Table, error) {
 	return t, nil
 }
 
-// RuntimeFigure regenerates Figure 2, 3 or 4: makespan for the
-// application across storage systems and cluster sizes.
-func RuntimeFigure(fig int) (string, []Cell, error) {
-	return RuntimeFigureSweep(fig, SweepOptions{})
-}
-
 // gridReps sweeps an application's grid with opt.Seeds replicates per
 // cell. At Seeds <= 1 this degenerates to the paper's single-seed grid
 // (replicate 0 is the cell's own seed and stays memoized), so the
@@ -111,7 +105,8 @@ func costCharts(fig int, app string, reps []Replicated, cells []Cell) string {
 	return b.String()
 }
 
-// RuntimeFigureSweep is RuntimeFigure with explicit sweep options
+// RuntimeFigureSweep regenerates Figure 2, 3 or 4: makespan for the
+// application across storage systems and cluster sizes, swept with opt
 // (parallelism, replication, progress callbacks). With opt.Seeds > 1 the
 // bars carry mean ± stddev error bands.
 func RuntimeFigureSweep(fig int, opt SweepOptions) (string, []Cell, error) {
@@ -141,48 +136,21 @@ func GridFigures(fig int, opt SweepOptions) (runtime, cost string, cells []Cell,
 	return runtimeChart(fig, app, reps, cells), costCharts(fig+3, app, reps, cells), cells, nil
 }
 
-// CostFigure regenerates Figure 5, 6 or 7: per-hour and per-second cost
-// for the application across storage systems and cluster sizes. It reuses
-// the runtime grid (the paper's cost figures are derived from the same
-// runs).
-func CostFigure(fig int, cells []Cell) (string, []Cell, error) {
-	return CostFigureSweep(fig, cells, SweepOptions{})
-}
-
-// CostFigureSweep is CostFigure with explicit sweep options, used when
-// the runtime grid is not being reused. When cells are supplied they are
-// rendered as-is (the single-measurement reuse path); otherwise the grid
-// is swept with opt, carrying error bars at opt.Seeds > 1.
-func CostFigureSweep(fig int, cells []Cell, opt SweepOptions) (string, []Cell, error) {
+// CostFigureSweep regenerates Figure 5, 6 or 7: per-hour and
+// per-second cost for the application across storage systems and
+// cluster sizes. The paper derives its cost figures from the runtime
+// grid's runs, so the memoized runtime cells are reused; with
+// opt.Seeds > 1 the bars carry mean ± stddev error bands.
+func CostFigureSweep(fig int, opt SweepOptions) (string, []Cell, error) {
 	app, ok := appForFigure[fig]
 	if !ok || fig < 5 {
 		return "", nil, fmt.Errorf("harness: cost figures are 5-7, got %d", fig)
 	}
-	if cells == nil {
-		reps, fresh, err := gridReps(app, opt)
-		if err != nil {
-			return "", nil, err
-		}
-		return costCharts(fig, app, reps, fresh), fresh, nil
+	reps, cells, err := gridReps(app, opt)
+	if err != nil {
+		return "", nil, err
 	}
-	var b strings.Builder
-	hour := &report.BarChart{
-		Title: fmt.Sprintf("Fig. %d (top). %s cost assuming per-hour charges ($)", fig, title(app)),
-		Unit:  "$",
-	}
-	sec := &report.BarChart{
-		Title: fmt.Sprintf("Fig. %d (bottom). %s cost assuming per-second charges ($)", fig, title(app)),
-		Unit:  "$",
-	}
-	for _, c := range cells {
-		label := fmt.Sprintf("%s n=%d", c.System, c.Workers)
-		hour.Add(label, c.Result.CostHour.Total())
-		sec.Add(label, c.Result.CostSecond.Total())
-	}
-	b.WriteString(hour.String())
-	b.WriteByte('\n')
-	b.WriteString(sec.String())
-	return b.String(), cells, nil
+	return costCharts(fig, app, reps, cells), cells, nil
 }
 
 // DiskBench reproduces the Section III.C ephemeral-disk observations as a

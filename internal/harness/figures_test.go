@@ -35,18 +35,18 @@ func TestDiskBenchTable(t *testing.T) {
 
 func TestRuntimeFigureValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := RuntimeFigure(5); err == nil {
-		t.Error("RuntimeFigure(5) should fail (cost figure)")
+	if _, _, err := RuntimeFigureSweep(5, SweepOptions{}); err == nil {
+		t.Error("RuntimeFigureSweep(5) should fail (cost figure)")
 	}
-	if _, _, err := RuntimeFigure(1); err == nil {
-		t.Error("RuntimeFigure(1) should fail")
+	if _, _, err := RuntimeFigureSweep(1, SweepOptions{}); err == nil {
+		t.Error("RuntimeFigureSweep(1) should fail")
 	}
 }
 
 func TestCostFigureValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := CostFigure(2, nil); err == nil {
-		t.Error("CostFigure(2) should fail (runtime figure)")
+	if _, _, err := CostFigureSweep(2, SweepOptions{}); err == nil {
+		t.Error("CostFigureSweep(2) should fail (runtime figure)")
 	}
 }
 
@@ -55,7 +55,7 @@ func TestRuntimeAndCostFiguresRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale grids")
 	}
-	out, cells, err := RuntimeFigure(3)
+	out, costOut, _, err := GridFigures(3, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +63,6 @@ func TestRuntimeAndCostFiguresRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("figure 3 missing %q:\n%s", want, out)
 		}
-	}
-	costOut, _, err := CostFigure(6, cells)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, want := range []string{"Fig. 6 (top)", "Fig. 6 (bottom)", "per-hour", "per-second"} {
 		if !strings.Contains(costOut, want) {

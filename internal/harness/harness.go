@@ -22,142 +22,43 @@ import (
 // RunConfig leaves Seed zero — the paper's single-measurement setting.
 const DefaultSeed uint64 = scenario.DefaultSeed
 
-// RunConfig names one experiment cell.
-type RunConfig struct {
-	App     string // montage | broadband | epigenome
-	Storage string // a storage.Names() entry
-	Workers int
-	// WorkerType selects the worker instance type by EC2 name; empty
-	// means the paper's c1.xlarge.
-	WorkerType string
-	// DataAware switches to the locality-aware scheduler (ablation A-2).
-	DataAware bool
-	// Workflow overrides the paper-scale application (used by tests and
-	// benchmarks to run scaled-down instances).
-	Workflow *workflow.Workflow
-	// Seed varies provisioning jitter; 0 means the fixed default.
-	Seed uint64
-	// AppSeed varies the generated application's task-runtime jitter
-	// (multi-seed replication); 0 keeps the app's fixed paper seed.
-	// Ignored when Workflow is set.
-	AppSeed uint64
-	// InitializeDisks zero-fills ephemeral volumes first (ablation A-6).
-	InitializeDisks bool
-	InitializeBytes float64
+// RunConfig names one experiment cell. It is the scenario spec itself:
+// the serializable fields plus the in-memory Workflow override and
+// Replicate index.
+type RunConfig = scenario.Spec
 
-	// FailureRate injects transient task failures with this per-attempt
-	// probability (wms.Options.FailureRate). Zero — the paper's setting —
-	// disables injection, and the remaining failure fields are ignored.
-	FailureRate float64
-	// MaxRetries bounds failed attempts per task; 0 means the DAGMan
-	// default of 3. Only meaningful when FailureRate > 0.
-	MaxRetries int
-	// FailureSeed drives the failure-injection RNG independently of the
-	// provisioning seed; 0 means wms's fixed default. SweepSeeds varies
-	// it per replicate alongside the jitter seeds.
-	FailureSeed uint64
-
-	// OutageRate injects correlated node outages (whole nodes offline,
-	// in-flight tasks killed, node-resident data unavailable) at this
-	// expected rate per node per hour (wms.Options.OutageRate). Zero —
-	// the paper's setting — disables outages, and OutageDuration and
-	// OutageSeed are ignored.
-	OutageRate float64
-	// OutageDuration is the mean outage length in seconds; 0 means the
-	// wms default. Only meaningful when OutageRate > 0.
-	OutageDuration float64
-	// OutageSeed drives the outage schedule independently of the other
-	// seeds; 0 means wms's fixed default. SweepSeeds varies it per
-	// replicate alongside the jitter seeds.
-	OutageSeed uint64
-	// CheckpointInterval makes tasks checkpoint every interval seconds of
-	// computation and resume from the last checkpoint after a failure or
-	// outage kill (wms.Options.CheckpointInterval). Zero disables it.
-	CheckpointInterval float64
-
-	// transient marks a derived replicate (SweepSeeds, rep > 0): its
-	// hashed seeds are never requested again, so caching the result and
-	// its per-seed DAG would only retain memory for the process
-	// lifetime. CellKey returns "" for transient cells.
-	transient bool
-}
-
-// Spec projects the configuration onto its serializable scenario spec —
-// everything but the in-memory Workflow override and the transient
-// replicate marker.
-func (cfg RunConfig) Spec() scenario.Spec {
-	return scenario.Spec{
-		App:                cfg.App,
-		Storage:            cfg.Storage,
-		Workers:            cfg.Workers,
-		WorkerType:         cfg.WorkerType,
-		DataAware:          cfg.DataAware,
-		Seed:               cfg.Seed,
-		AppSeed:            cfg.AppSeed,
-		InitializeDisks:    cfg.InitializeDisks,
-		InitializeBytes:    cfg.InitializeBytes,
-		FailureRate:        cfg.FailureRate,
-		MaxRetries:         cfg.MaxRetries,
-		FailureSeed:        cfg.FailureSeed,
-		OutageRate:         cfg.OutageRate,
-		OutageDuration:     cfg.OutageDuration,
-		OutageSeed:         cfg.OutageSeed,
-		CheckpointInterval: cfg.CheckpointInterval,
-	}
-}
-
-// SpecConfig builds the RunConfig for a scenario spec.
-func SpecConfig(s scenario.Spec) RunConfig {
-	return RunConfig{
-		App:                s.App,
-		Storage:            s.Storage,
-		Workers:            s.Workers,
-		WorkerType:         s.WorkerType,
-		DataAware:          s.DataAware,
-		Seed:               s.Seed,
-		AppSeed:            s.AppSeed,
-		InitializeDisks:    s.InitializeDisks,
-		InitializeBytes:    s.InitializeBytes,
-		FailureRate:        s.FailureRate,
-		MaxRetries:         s.MaxRetries,
-		FailureSeed:        s.FailureSeed,
-		OutageRate:         s.OutageRate,
-		OutageDuration:     s.OutageDuration,
-		OutageSeed:         s.OutageSeed,
-		CheckpointInterval: s.CheckpointInterval,
-	}
-}
-
-// RunResult is one cell's outcome.
+// RunResult is one cell's outcome. Its JSON is the persistent result
+// cache's row (see cache.go): the spec and every metric, in field
+// order, without the execution trace.
 type RunResult struct {
-	Config        RunConfig
-	Makespan      float64
-	ProvisionTime float64
-	Utilization   float64
-	MemoryWaits   int64
+	Config        RunConfig `json:"spec"`
+	Makespan      float64   `json:"makespan_s"`
+	ProvisionTime float64   `json:"provision_s"`
+	Utilization   float64   `json:"utilization"`
+	MemoryWaits   int64     `json:"memory_waits"`
 	// Failures counts injected transient failures (zero when FailureRate
 	// is 0); Retries counts all re-executions — injected failures plus
 	// outage kills.
-	Failures int64
-	Retries  int64
+	Failures int64 `json:"failures"`
+	Retries  int64 `json:"retries"`
 	// Outages and OutageKills count node outages and the attempts they
 	// killed; LostWorkSeconds sums slot time failed attempts burned
 	// beyond any checkpointed progress; Checkpoints/CheckpointBytes
 	// count checkpoint writes and their staged bytes.
-	Outages         int64
-	OutageKills     int64
-	LostWorkSeconds float64
-	Checkpoints     int64
-	CheckpointBytes float64
-	Stats           storage.Stats
-	CostHour        cost.Breakdown
-	CostSecond      cost.Breakdown
+	Outages         int64          `json:"outages"`
+	OutageKills     int64          `json:"outage_kills"`
+	LostWorkSeconds float64        `json:"lost_work_s"`
+	Checkpoints     int64          `json:"checkpoints"`
+	CheckpointBytes float64        `json:"checkpoint_bytes"`
+	Stats           storage.Stats  `json:"stats"`
+	CostHour        cost.Breakdown `json:"cost_hour"`
+	CostSecond      cost.Breakdown `json:"cost_second"`
 	// Spans records per-task execution windows for Gantt charts and
 	// trace exports.
-	Spans []wms.Span
+	Spans []wms.Span `json:"-"`
 	// Cluster is the provisioned cluster (for follow-up cost analyses
 	// such as amortization over successive workflows).
-	Cluster *cluster.Cluster
+	Cluster *cluster.Cluster `json:"-"`
 }
 
 // Amortize prices running the same workflow k times in succession on this

@@ -48,3 +48,27 @@ func TestProvisionFollowsReplicateSeed(t *testing.T) {
 		t.Errorf("replicate 1 provisioned in %g s, then %g s on rerun", b, again)
 	}
 }
+
+// TestReplicateConfigSkipsMemo checks how a derived replicate is keyed:
+// replicate 0 is the cell itself, while a replicate with Replicate > 0
+// has no memo key (its hashed seeds are never requested again) but
+// keeps a store key of its own, rendered from its reseeded spec.
+func TestReplicateConfigSkipsMemo(t *testing.T) {
+	cfg := RunConfig{App: "montage", Storage: "nfs", Workers: 2, FailureRate: 0.1}
+	if got := ReplicateConfig(cfg, 0); got != cfg || CellKey(got) == "" {
+		t.Errorf("replicate 0 = %+v with key %q, want the cell itself", got, CellKey(got))
+	}
+	rep := ReplicateConfig(cfg, 2)
+	if rep.Replicate != 2 {
+		t.Errorf("ReplicateConfig(cfg, 2).Replicate = %d", rep.Replicate)
+	}
+	if key := CellKey(rep); key != "" {
+		t.Errorf("derived replicate memoized under %q", key)
+	}
+	store, ok := CacheKey(rep)
+	plain := rep
+	plain.Replicate = 0
+	if !ok || store.Cell != CellKey(plain) || store.Cell == CellKey(cfg) {
+		t.Errorf("replicate store key %+v (ok=%t), want its reseeded spec's key %q", store, ok, CellKey(plain))
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ec2wfsim/internal/report"
-	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/units"
 	"ec2wfsim/internal/workflow"
 )
@@ -95,51 +94,9 @@ func (o *OutageStudyOptions) normalize() {
 	}
 }
 
-// OutageCell is one aggregated (application, storage, checkpoint, rate)
-// cell of the study, paired with its outage-free no-checkpoint baseline.
-type OutageCell struct {
-	Config   RunConfig  // the cell's configuration, outage fields included
-	Rep      Replicated // aggregate over Sweep.Seeds replicates
-	Baseline Replicated // the rate-0 no-checkpoint aggregate for the same app/storage
-}
-
-// Checkpointed reports whether this cell runs the checkpoint/restart arm.
-func (c OutageCell) Checkpointed() bool { return c.Config.CheckpointInterval > 0 }
-
-// MakespanInflation is the relative makespan increase over the
-// outage-free baseline (0.25 = 25% slower).
-func (c OutageCell) MakespanInflation() float64 {
-	if c.Baseline.Makespan.Mean <= 0 {
-		return 0
-	}
-	return c.Rep.Makespan.Mean/c.Baseline.Makespan.Mean - 1
-}
-
-// MakespanDelta summarizes the per-replicate paired differences between
-// this cell and its baseline: replicate j of both cells shares its
-// jitter seeds (CellSeed excludes the outage fields), so the stddev
-// here is the uncertainty of the overhead itself.
-func (c OutageCell) MakespanDelta() sweep.Summary {
-	n := len(c.Rep.Runs)
-	if len(c.Baseline.Runs) < n {
-		n = len(c.Baseline.Runs)
-	}
-	deltas := make([]float64, n)
-	for j := 0; j < n; j++ {
-		deltas[j] = c.Rep.Runs[j].Makespan - c.Baseline.Runs[j].Makespan
-	}
-	return sweep.Summarize(deltas)
-}
-
-// CostOverhead is the relative per-second-billing cost increase over
-// the outage-free baseline (per-hour billing rounds occupancy up and
-// absorbs most of it, as in the failure study).
-func (c OutageCell) CostOverhead() float64 {
-	if c.Baseline.CostSecond.Mean <= 0 {
-		return 0
-	}
-	return c.Rep.CostSecond.Mean/c.Baseline.CostSecond.Mean - 1
-}
+// OutageCell is one (application, storage, checkpoint, rate) cell of
+// the outage study; its baseline is the rate-0 no-checkpoint cell.
+type OutageCell = PairedCell
 
 // OutageStudy runs the outage-ablation study and renders it: a table
 // reporting makespan inflation, outage kills, lost-work seconds,
@@ -188,15 +145,7 @@ func OutageStudy(o OutageStudyOptions) ([]OutageCell, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	block := len(o.Rates) * len(intervals)
-	cells := make([]OutageCell, len(reps))
-	for i, rep := range reps {
-		cells[i] = OutageCell{
-			Config:   cfgs[i],
-			Rep:      rep,
-			Baseline: reps[i-i%block],
-		}
-	}
+	cells := pairCells(cfgs, reps, len(o.Rates)*len(intervals))
 	return cells, renderOutageStudy(o, cells), nil
 }
 

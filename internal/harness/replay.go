@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"ec2wfsim/internal/eventlog"
-	"ec2wfsim/internal/scenario"
 	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/workflow"
 )
@@ -25,8 +24,7 @@ import (
 // Configurations with a custom Workflow embed its JSON so the log stays
 // replayable; catalog runs are reconstructed from (App, AppSeed) alone.
 func headerFor(cfg RunConfig) (eventlog.Header, error) {
-	spec := cfg.Spec()
-	specJSON, err := spec.CanonicalJSON()
+	specJSON, err := cfg.CanonicalJSON()
 	if err != nil {
 		return eventlog.Header{}, fmt.Errorf("harness: encoding spec: %w", err)
 	}
@@ -54,13 +52,12 @@ func headerFor(cfg RunConfig) (eventlog.Header, error) {
 // not extension points), and an embedded workflow overrides the
 // catalog application exactly as it did when the log was recorded.
 func configFromHeader(h eventlog.Header) (RunConfig, error) {
-	var spec scenario.Spec
+	var cfg RunConfig
 	dec := json.NewDecoder(bytes.NewReader(h.Spec))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return RunConfig{}, fmt.Errorf("harness: log header spec: %w", err)
 	}
-	cfg := SpecConfig(spec)
 	if len(h.Workflow) > 0 {
 		w, err := workflow.ReadJSON(bytes.NewReader(h.Workflow))
 		if err != nil {

@@ -121,13 +121,13 @@ func (o SweepOptions) ctx() context.Context {
 // and FailureSeed at FailureRate 0, OutageDuration and OutageSeed at
 // OutageRate 0 — are normalized away. Configurations carrying a custom
 // Workflow are not memoizable (the DAG isn't part of the key) and
-// return "".
+// return "", as do derived replicates (Replicate > 0), whose hashed
+// seeds are never requested again.
 func CellKey(cfg RunConfig) string {
-	if cfg.Workflow != nil || cfg.transient {
+	if cfg.Workflow != nil || cfg.Replicate > 0 {
 		return ""
 	}
-	spec := cfg.Spec()
-	return scenario.Key(&spec)
+	return scenario.Key(&cfg)
 }
 
 // CellSeed derives the RNG seed for one replicate of a cell. Replicate 0
@@ -141,8 +141,7 @@ func CellKey(cfg RunConfig) string {
 // the failure-free baseline, so overhead comparisons are paired rather
 // than confounded by provisioning spread.
 func CellSeed(cfg RunConfig, replicate int) uint64 {
-	spec := cfg.Spec()
-	return scenario.ReplicateSeed(&spec, replicate)
+	return scenario.ReplicateSeed(&cfg, replicate)
 }
 
 // paperWorkflow returns the shared paper-scale DAG for an application
@@ -164,8 +163,8 @@ func paperWorkflowSeeded(app string, seed uint64) (*workflow.Workflow, error) {
 // workflow when none is given (Run would otherwise rebuild the DAG per
 // cell).
 func runCell(cfg RunConfig) (*RunResult, error) {
-	if cfg.Workflow == nil && cfg.App != "" && !cfg.transient {
-		// Transient replicates skip the DAG cache too: their per-seed
+	if cfg.Workflow == nil && cfg.App != "" && cfg.Replicate == 0 {
+		// Derived replicates skip the DAG cache too: their per-seed
 		// workflow is used once, so Run builds (and drops) it instead.
 		w, err := paperWorkflowSeeded(cfg.App, cfg.AppSeed)
 		if err != nil {
@@ -240,16 +239,14 @@ func ReplicateConfig(cfg RunConfig, rep int) RunConfig {
 	if rep == 0 {
 		return cfg
 	}
-	spec := cfg.Spec()
-	scenario.Reseed(&spec, CellSeed(cfg, rep))
-	c := SpecConfig(spec)
-	c.Workflow = cfg.Workflow
+	c := cfg
+	scenario.Reseed(&c, CellSeed(cfg, rep))
 	if cfg.Workflow != nil {
 		// A custom DAG carries its own jitter; AppSeed only
 		// replicates for the generated paper apps.
 		c.AppSeed = cfg.AppSeed
 	}
-	c.transient = true
+	c.Replicate = rep
 	return c
 }
 

@@ -1,14 +1,17 @@
 // Package scenario is the composable experiment-description layer: one
-// serializable Spec names everything a single simulation run can vary
-// (application, storage, cluster shape, seeds, failure injection, node
-// outages, checkpointing), and a registry of self-describing option
-// groups declares — once, per group — how those fields appear in the
+// Spec names everything a single simulation run can vary (application,
+// storage, cluster shape, seeds, failure injection, node outages,
+// checkpointing), and a registry of self-describing option groups
+// declares — once, per group — how those fields appear in the
 // canonical memoization key, which of them participate in the
 // seed-pairing hash, how replicates reseed them, which CLI flags they
-// register, and which sweep axes they expose.
+// register, and which sweep axes they expose. Two Spec fields live in
+// memory only — a custom Workflow and the Replicate index — and appear
+// in none of those projections.
 //
 // The harness, the public facade and both CLIs are all thin views over
-// this package: harness.CellKey/CellSeed/SweepSeeds delegate to
+// this package: harness.RunConfig is an alias of Spec,
+// harness.CellKey/CellSeed/SweepSeeds delegate to
 // Key/ReplicateSeed/Reseed, the facade's functional options mutate a
 // Spec, and wfbench/wfsim register their scenario flags from the same
 // group table, so a new scenario knob added here is automatically
@@ -23,16 +26,18 @@ import (
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/workflow"
 )
 
 // DefaultSeed is the fixed provisioning-jitter seed used when a Spec
 // leaves Seed zero — the paper's single-measurement setting.
 const DefaultSeed uint64 = 0x5EED
 
-// Spec is one serializable experiment configuration: every scenario
-// field a run can vary, with zero values meaning "the paper's default".
-// It deliberately excludes the in-memory Workflow override — a Spec is
-// exactly the part of a configuration that can live in a JSON file.
+// Spec is one experiment configuration: every scenario field a run can
+// vary, with zero values meaning "the paper's default". Every field but
+// Workflow and Replicate is serializable; those two live in memory only
+// and have no JSON key, flag or axis, so a Spec's JSON is exactly the
+// part of a configuration that can live in a file.
 type Spec struct {
 	// App is "montage", "broadband" or "epigenome".
 	App string `json:"app,omitempty"`
@@ -55,21 +60,35 @@ type Spec struct {
 	InitializeBytes float64 `json:"initialize_bytes,omitempty"`
 
 	// FailureRate injects i.i.d. transient task failures with this
-	// per-attempt probability; MaxRetries and FailureSeed are ignored
-	// at rate 0.
+	// per-attempt probability; MaxRetries (0 = DAGMan's default of 3)
+	// and FailureSeed (0 = a fixed default) are ignored at rate 0.
 	FailureRate float64 `json:"failure_rate,omitempty"`
 	MaxRetries  int     `json:"max_retries,omitempty"`
 	FailureSeed uint64  `json:"failure_seed,omitempty"`
 
 	// OutageRate injects correlated node outages per node per hour;
-	// OutageDuration and OutageSeed are ignored at rate 0.
+	// OutageDuration (mean seconds, 0 = the wms default) and OutageSeed
+	// (0 = a fixed default) are ignored at rate 0.
 	OutageRate     float64 `json:"outage_rate,omitempty"`
 	OutageDuration float64 `json:"outage_duration,omitempty"`
 	OutageSeed     uint64  `json:"outage_seed,omitempty"`
 
 	// CheckpointInterval makes tasks checkpoint every interval seconds
-	// of computation; 0 disables checkpointing.
+	// of computation and resume killed attempts from the last
+	// checkpoint; 0 disables checkpointing.
 	CheckpointInterval float64 `json:"checkpoint_interval,omitempty"`
+
+	// Workflow overrides the paper-scale application with a custom DAG
+	// (tests and benchmarks run scaled-down instances); AppSeed is then
+	// ignored. A DAG has no canonical name, so a Spec carrying one is
+	// neither memoized nor cached.
+	Workflow *workflow.Workflow `json:"-"`
+	// Replicate is the replicate index of a configuration derived by
+	// harness.ReplicateConfig; 0 is the cell itself. A replicate's
+	// hashed seeds are never requested again, so caching its result or
+	// its per-seed DAG in memory would only hold memory for the life of
+	// the process.
+	Replicate int `json:"-"`
 }
 
 // CanonicalJSON renders the spec as compact JSON with the struct's

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"ec2wfsim/internal/workflow"
 )
 
 func TestKeyNormalizesDefaults(t *testing.T) {
@@ -108,6 +110,62 @@ func TestReseedOnlyActiveStreams(t *testing.T) {
 	}
 	if f.FailureSeed == f.OutageSeed || f.FailureSeed == 42 || f.OutageSeed == 42 {
 		t.Errorf("streams not decorrelated: %+v", f)
+	}
+}
+
+// TestInMemoryFieldsStayInMemory pins the boundary of the two fields a
+// Spec holds only in memory: Workflow and Replicate change no
+// serialized form, key or reseed, and no file, flag or axis can set
+// them.
+func TestInMemoryFieldsStayInMemory(t *testing.T) {
+	plain := Spec{App: "montage", Storage: "nfs", Workers: 2, Seed: 7, FailureRate: 0.1}
+	mem := plain
+	mem.Workflow = workflow.New("custom")
+	mem.Replicate = 3
+	pj, err := plain.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj, err := mem.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(pj) != string(mj) {
+		t.Errorf("CanonicalJSON carries in-memory fields:\n got %s\nwant %s", mj, pj)
+	}
+	if Key(&mem) != Key(&plain) {
+		t.Errorf("Key carries in-memory fields:\n got %q\nwant %q", Key(&mem), Key(&plain))
+	}
+	if PairKey(&mem) != PairKey(&plain) {
+		t.Errorf("PairKey carries in-memory fields:\n got %q\nwant %q", PairKey(&mem), PairKey(&plain))
+	}
+	reseeded := mem
+	Reseed(&reseeded, 42)
+	if reseeded.Workflow != mem.Workflow || reseeded.Replicate != mem.Replicate {
+		t.Errorf("Reseed touched in-memory fields: %+v", reseeded)
+	}
+
+	for _, doc := range []string{
+		`{"app": "montage", "storage": "nfs", "workers": 2, "replicate": 1}`,
+		`{"app": "montage", "storage": "nfs", "workers": 2, "Replicate": 1}`,
+		`{"app": "montage", "storage": "nfs", "workers": 2, "Workflow": {}}`,
+		`{"base": {"app": "montage", "storage": "nfs", "workers": 2, "replicate": 1}}`,
+	} {
+		if _, err := Read(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("Read(%s) = %v, want an unknown-field error", doc, err)
+		}
+	}
+
+	s := plain
+	for _, field := range []string{"replicate", "Replicate", "workflow", "Workflow"} {
+		if err := SetField(&s, field, 1); err == nil {
+			t.Errorf("SetField accepted in-memory field %q", field)
+		}
+	}
+	for _, name := range append(FlagNames(true), AxisFields()...) {
+		if l := strings.ToLower(name); strings.Contains(l, "replicate") || strings.Contains(l, "workflow") {
+			t.Errorf("flag or axis %q exposes an in-memory field", name)
+		}
 	}
 }
 
