@@ -31,6 +31,13 @@
 // the trailer's event count makes record-boundary truncation
 // detectable; event sequence numbers make reordering detectable. Any
 // violation decodes to a *CorruptError naming the byte offset.
+//
+// Every payload is exactly the bytes encoding/json writes for its
+// record. Event payloads are encoded by hand, without reflection, to
+// that form; the reader parses that form directly and sends any other
+// valid JSON through encoding/json, so the set of logs it accepts, what
+// it decodes them to and the errors it rejects them with are those of
+// encoding/json alone.
 package eventlog
 
 import (

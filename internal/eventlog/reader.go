@@ -27,6 +27,10 @@ type Reader struct {
 	trailer Trailer
 	n       uint64 // events decoded
 	done    bool
+	// buf holds the current record's payload and enc re-encodes an
+	// event for parseEvent's check. Both are reused from record to
+	// record: decoded strings and RawJSON values are copies.
+	buf, enc []byte
 }
 
 // NewReader reads and validates the header.
@@ -78,9 +82,12 @@ func (r *Reader) Next() (Event, error) {
 	}
 	switch typ {
 	case 'e':
-		var e Event
-		if err := strictUnmarshal(payload, &e); err != nil {
-			return Event{}, corrupt(off, "event %d: %v", r.n+1, err)
+		e, enc, ok := parseEvent(payload, r.enc)
+		r.enc = enc
+		if !ok {
+			if err := strictUnmarshal(payload, &e); err != nil {
+				return Event{}, corrupt(off, "event %d: %v", r.n+1, err)
+			}
 		}
 		if !e.Kind.Valid() {
 			return Event{}, corrupt(off, "event %d: uncatalogued kind %q", r.n+1, e.Kind)
@@ -148,7 +155,10 @@ func (r *Reader) next() (byte, []byte, error) {
 	if digits == 0 {
 		return 0, nil, corrupt(off, "empty length prefix")
 	}
-	payload := make([]byte, length+1) // +1 for the trailing newline
+	if cap(r.buf) < length+1 { // +1 for the trailing newline
+		r.buf = make([]byte, length+1)
+	}
+	payload := r.buf[:length+1]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return 0, nil, corrupt(off, "truncated inside a %d-byte record", length)
 	}

@@ -22,6 +22,10 @@ type Writer struct {
 	n      uint64 // events written
 	err    error
 	closed bool
+	// payload and prefix are the event record being framed, reused by
+	// every Record so recording allocates nothing per event.
+	payload []byte
+	prefix  [24]byte
 }
 
 // NewWriter writes the header and returns a streaming writer. The
@@ -43,19 +47,21 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	return lw, nil
 }
 
-// record frames one payload as <type><len>:<json>\n.
+// record frames the encoding/json encoding of a header or trailer.
 func (w *Writer) record(typ byte, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("eventlog: encoding %c record: %w", typ, err)
 	}
-	if err := w.bw.WriteByte(typ); err != nil {
-		return err
-	}
-	if _, err := w.bw.WriteString(strconv.Itoa(len(payload))); err != nil {
-		return err
-	}
-	if err := w.bw.WriteByte(':'); err != nil {
+	return w.frame(typ, payload)
+}
+
+// frame writes one record: <type><len>:<payload>\n.
+func (w *Writer) frame(typ byte, payload []byte) error {
+	pre := append(w.prefix[:0], typ)
+	pre = strconv.AppendInt(pre, int64(len(payload)), 10)
+	pre = append(pre, ':')
+	if _, err := w.bw.Write(pre); err != nil {
 		return err
 	}
 	if _, err := w.bw.Write(payload); err != nil {
@@ -77,7 +83,12 @@ func (w *Writer) Record(e Event) {
 		w.err = fmt.Errorf("eventlog: recording uncatalogued kind %q", e.Kind)
 		return
 	}
-	w.err = w.record('e', e)
+	var err error
+	if w.payload, err = appendEvent(w.payload[:0], &e); err != nil {
+		w.err = fmt.Errorf("eventlog: encoding e record: %w", err)
+		return
+	}
+	w.err = w.frame('e', w.payload)
 }
 
 // Events returns the number of events recorded so far.

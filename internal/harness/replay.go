@@ -125,25 +125,40 @@ type VerifyResult struct {
 	Detail string
 }
 
-// ReplayVerify decodes a recorded log, re-runs the configuration its
+// ReplayVerify validates a recorded log, re-runs the configuration its
 // header describes, and compares the fresh stream byte-for-byte against
-// the recording. A corrupt or truncated log fails with the decoder's
-// *eventlog.CorruptError before any simulation starts.
+// the recording. Validation streams the log through the decoder without
+// keeping its events, so a corrupt or truncated log still fails with
+// the decoder's *eventlog.CorruptError before any simulation starts.
+// Events are decoded into memory only when the streams differ, to
+// pinpoint the first divergence.
 func ReplayVerify(logData []byte) (*RunResult, *VerifyResult, error) {
-	h, events, tr, err := eventlog.Decode(logData)
+	lr, err := eventlog.NewReader(bytes.NewReader(logData))
 	if err != nil {
 		return nil, nil, err
 	}
-	var buf bytes.Buffer
-	r, err := Replay(h, &buf)
+	for {
+		if _, err := lr.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, nil, err
+		}
+	}
+	// A deterministic replay writes exactly len(logData) bytes.
+	buf := bytes.NewBuffer(make([]byte, 0, len(logData)))
+	r, err := Replay(lr.Header(), buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := &VerifyResult{Events: tr.Events}
+	v := &VerifyResult{Events: lr.Trailer().Events}
 	fresh := buf.Bytes()
 	if bytes.Equal(logData, fresh) {
 		v.Match = true
 		return r, v, nil
+	}
+	_, events, tr, err := eventlog.Decode(logData)
+	if err != nil {
+		return nil, nil, err
 	}
 	_, freshEvents, freshTr, err := eventlog.Decode(fresh)
 	if err != nil {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ec2wfsim/internal/apps"
@@ -156,6 +160,110 @@ func TestReplayVerifyCorruptLog(t *testing.T) {
 	var ce *eventlog.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("corrupt log failed with %T (%v), want *eventlog.CorruptError", err, err)
+	}
+}
+
+// reframe rewrites the payload of record i of a log (0 is the header,
+// then one record per event) with edit, and fixes that record's length
+// prefix, so the framing stays valid and only the payload changes.
+func reframe(t *testing.T, log []byte, i int, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	start := 0
+	for ; i > 0; i-- {
+		start += bytes.IndexByte(log[start:], '\n') + 1
+	}
+	colon := start + bytes.IndexByte(log[start:], ':')
+	n, err := strconv.Atoi(string(log[start+1 : colon]))
+	if err != nil {
+		t.Fatalf("record at byte %d: bad length prefix: %v", start, err)
+	}
+	payload := edit(append([]byte(nil), log[colon+1:colon+1+n]...))
+	out := append([]byte(nil), log[:start+1]...)
+	out = strconv.AppendInt(out, int64(len(payload)), 10)
+	out = append(append(out, ':'), payload...)
+	return append(out, log[colon+1+n:]...)
+}
+
+// TestReplayVerifyRejectsCorruptBeforeReplay pins that ReplayVerify
+// validates the whole log before it simulates anything. The header is
+// re-framed to name an unknown storage system, so a replay would fail
+// on its configuration, and the last event carries an uncatalogued
+// kind; the verdict must be the decoder's *eventlog.CorruptError.
+func TestReplayVerifyRejectsCorruptBeforeReplay(t *testing.T) {
+	t.Parallel()
+	cfg := RunConfig{
+		App: "montage", Storage: "local", Workers: 1,
+		Workflow: replayWorkflow(t),
+	}
+	var buf bytes.Buffer
+	if _, err := RunRecorded(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data := reframe(t, buf.Bytes(), 0, func(p []byte) []byte {
+		return bytes.Replace(p, []byte(`"storage":"local"`), []byte(`"storage":"no-such-storage"`), 1)
+	})
+	lr, err := eventlog.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(lr.Header(), io.Discard); err == nil {
+		t.Fatal("test premise broken: the re-framed header replays")
+	}
+	_, _, tr, err := eventlog.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = reframe(t, data, int(tr.Events), func(p []byte) []byte {
+		return bytes.Replace(p, []byte(`"kind":"`), []byte(`"kind":"x`), 1)
+	})
+	_, _, err = ReplayVerify(data)
+	var ce *eventlog.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("ReplayVerify = %v, want *eventlog.CorruptError", err)
+	}
+	if !strings.Contains(ce.Reason, "uncatalogued kind") {
+		t.Errorf("CorruptError %q does not name the corrupted event", ce)
+	}
+}
+
+// TestReplayVerifyPinpointsDivergence pins the decode-on-mismatch path:
+// a log whose event 10 carries another valid timestamp still decodes,
+// its replay differs, and the verdict names that event.
+func TestReplayVerifyPinpointsDivergence(t *testing.T) {
+	t.Parallel()
+	cfg := RunConfig{
+		App: "montage", Storage: "local", Workers: 1,
+		Workflow: replayWorkflow(t),
+	}
+	var buf bytes.Buffer
+	if _, err := RunRecorded(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const seq = 10
+	data := reframe(t, buf.Bytes(), seq, func(p []byte) []byte {
+		var e eventlog.Event
+		if err := json.Unmarshal(p, &e); err != nil {
+			t.Fatal(err)
+		}
+		e.T = e.T*2 + 1
+		out, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+	_, v, err := ReplayVerify(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Match {
+		t.Fatal("a log with a rewritten timestamp verified clean")
+	}
+	if v.Seq != seq {
+		t.Errorf("divergence at seq %d, want %d (%s)", v.Seq, seq, v.Detail)
+	}
+	if want := fmt.Sprintf("event %d:", seq); !strings.HasPrefix(v.Detail, want) {
+		t.Errorf("Detail %q does not start with %q", v.Detail, want)
 	}
 }
 
