@@ -107,11 +107,11 @@ func appendString(b []byte, s string) []byte {
 // payload — other spacing, key order or key spelling, an escape in a
 // string, a number written another way, an uncatalogued kind — and the
 // caller then decodes that payload with strictUnmarshal. The parsed
-// event is accepted only if re-encoding it into scratch reproduces p
+// event is accepted only if re-encoding it into enc reproduces p
 // byte for byte, so parseEvent accepts a payload only where
-// encoding/json would decode the same event. scratch is returned for
+// encoding/json would decode the same event. enc is returned for
 // reuse.
-func parseEvent(p, scratch []byte) (Event, []byte, bool) {
+func parseEvent(p, enc []byte) (Event, []byte, bool) {
 	s := scanner{rest: p, ok: true}
 	var e Event
 	s.expect(`{"seq":`)
@@ -146,13 +146,13 @@ func parseEvent(p, scratch []byte) (Event, []byte, bool) {
 	}
 	s.expect("}")
 	if !s.ok || len(s.rest) != 0 {
-		return Event{}, scratch, false
+		return Event{}, enc, false
 	}
-	scratch, err := appendEvent(scratch[:0], &e)
-	if err != nil || !bytes.Equal(scratch, p) {
-		return Event{}, scratch, false
+	enc, err := appendEvent(enc[:0], &e)
+	if err != nil || !bytes.Equal(enc, p) {
+		return Event{}, enc, false
 	}
-	return e, scratch, true
+	return e, enc, true
 }
 
 // scanner walks a payload for parseEvent. The first mismatch clears ok,

@@ -92,6 +92,7 @@ func FuzzEventDecodingMatchesStrict(f *testing.F) {
 		f.Add(p)
 	}
 	for _, p := range []string{
+		`{"seq": 1,"t":0,"kind":"node-up","node":"w0"}`,
 		`{"seq":1, "t":0,"kind":"node-up","node":"w0"}`,
 		`{"t":0,"seq":1,"kind":"node-up","node":"w0"}`,
 		`{"SEQ":1,"t":0,"kind":"node-up","node":"w0"}`,

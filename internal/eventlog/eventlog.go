@@ -35,9 +35,9 @@
 // Every payload is exactly the bytes encoding/json writes for its
 // record. Event payloads are encoded by hand, without reflection, to
 // that form; the reader parses that form directly and sends any other
-// valid JSON through encoding/json, so the set of logs it accepts, what
-// it decodes them to and the errors it rejects them with are those of
-// encoding/json alone.
+// payload through encoding/json, so the set of logs it accepts, what it
+// decodes them to and the errors it rejects them with are the same as
+// if encoding/json decoded every payload.
 package eventlog
 
 import (
