@@ -53,6 +53,13 @@ import (
 	"ec2wfsim/internal/sweep"
 )
 
+// replicatedStudies are the ablations that honour -seeds; the others
+// render fixed single-seed cells.
+var replicatedStudies = map[string]bool{"failures": true, "outages": true, "scale": true, "scale1000": true}
+
+// replicatedModes names every mode -seeds replicates.
+const replicatedModes = "figures, grid exports and the failures, outages, scale and scale1000 studies"
+
 func main() {
 	// Scenario knob flags come from the shared option table (identity
 	// flags like -app/-storage/-nodes stay wfsim-only: wfbench sweeps
@@ -133,11 +140,11 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	if (spec.OutageDuration != 0 || spec.OutageSeed != 0 || spec.CheckpointInterval != 0) && !outageStudy {
 		return fmt.Errorf("-outage-duration, -outage-seed and -checkpoint-interval apply to the outage study; add -outage-rate or -ablation outages")
 	}
-	if seeds > 1 && (table1 || diskTable || (ablation != "" && ablation != "failures" && ablation != "outages" && ablation != "scale")) {
+	if seeds > 1 && (table1 || diskTable || (ablation != "" && !replicatedStudies[ablation])) {
 		// Table I, the disk table and the fixed-cell ablations render the
 		// paper's single measurements; failing loudly beats silently
 		// printing unreplicated numbers under a -seeds flag.
-		return fmt.Errorf("-seeds replicates figures, grid exports and the failure/outage studies; this mode renders single-seed numbers")
+		return fmt.Errorf("-seeds replicates %s; this mode renders single-seed numbers", replicatedModes)
 	}
 	switch {
 	case failureStudy:
@@ -202,7 +209,7 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	// figure and its cost companion (replicates are not memoized, so at
 	// -seeds > 1 re-sweeping per figure would double the work).
 	if seeds > 1 {
-		fmt.Fprintln(os.Stderr, "wfbench: -seeds replicates the figures and the failure study; Table I, the disk table and the fixed-cell ablations remain single-measurement")
+		fmt.Fprintf(os.Stderr, "wfbench: -seeds replicates %s; Table I, the disk table and the fixed-cell ablations remain single-measurement\n", replicatedModes)
 	}
 	if err := printTableI(); err != nil {
 		return err

@@ -22,7 +22,6 @@ var simPackages = map[string]bool{
 	"internal/cluster":  true,
 	"internal/outage":   true,
 	"internal/apps":     true,
-	"internal/staging":  true,
 	"internal/workflow": true,
 	"internal/scenario": true,
 	"internal/eventlog": true,

@@ -130,7 +130,6 @@ type Node struct {
 	Name   string
 	Index  int // position within its cluster role
 	Type   InstanceType
-	Cores  *sim.Semaphore // task slots, one per core
 	Memory *sim.Semaphore // MB-granularity RAM admission
 	NICIn  *flow.Resource
 	NICOut *flow.Resource
@@ -206,7 +205,6 @@ func NewNode(e *sim.Engine, net *flow.Net, name string, index int, t InstanceTyp
 		Name:   name,
 		Index:  index,
 		Type:   t,
-		Cores:  sim.NewSemaphore(e, name+"/cores", t.Cores),
 		Memory: sim.NewSemaphore(e, name+"/mem", MemoryMB(t.Memory)),
 		NICIn:  flow.NewResource(name+"/nic-in", t.NICBandwidth),
 		NICOut: flow.NewResource(name+"/nic-out", t.NICBandwidth),

@@ -7,11 +7,12 @@ import (
 )
 
 // Steady-state transfer churn — blocking transfers and batched fan-outs
-// starting and completing continuously — must not allocate: transfer and
-// Pending records, batches, window caps, solver scratch and sim event
-// records all recycle through free lists. This is the allocation
-// regression rail for the solver's hot path. Kept serial: AllocsPerRun
-// counts are polluted by concurrent tests allocating on the same heap.
+// starting and completing continuously — must not allocate: transfer
+// records, batches (a blocking transfer is a one-shard batch), window
+// caps, solver scratch and sim event records all recycle through free
+// lists. This is the allocation regression rail for the solver's hot
+// path. Kept serial: AllocsPerRun counts are polluted by concurrent tests
+// allocating on the same heap.
 func TestSteadyStateChurnAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by the race detector")
@@ -36,7 +37,9 @@ func TestSteadyStateChurnAllocationFree(t *testing.T) {
 		// A capped transfer client (pooled private cap per call).
 		e.GoDaemon("capped", func(p *sim.Proc) {
 			for {
-				n.TransferCapped(p, 900, 45, server)
+				c := n.AcquireCap("flowcap", 45)
+				n.Transfer(p, 900, c, server)
+				n.ReleaseCap(c)
 			}
 		})
 		// A striped fan-out client (batch + pooled window cap per call).

@@ -3,14 +3,14 @@ package flow
 import "fmt"
 
 // ArgumentError reports an invalid argument passed to a flow API entry
-// point (Transfer, StartTransfer, Batch.Add, TransferCapped, NewResource,
+// point (Transfer, Batch.Add, AcquireCap, NewResource,
 // SetResourceCapacity). The flow API is used from inside simulation
 // processes where there is no error-return channel, so boundary
 // validation panics with a typed *ArgumentError naming the call and the
 // offending argument — callers that want to translate it (tests, fuzzers)
 // can recover and type-assert.
 type ArgumentError struct {
-	Call string // the API entry point, e.g. "StartTransfer"
+	Call string // the API entry point, e.g. "Batch.Add"
 	Arg  string // the argument at fault, e.g. "size"
 	Msg  string // description including the offending value
 }
@@ -23,23 +23,4 @@ func (e *ArgumentError) Error() string {
 // badArg builds the panic value for a rejected argument.
 func badArg(call, arg, format string, args ...interface{}) *ArgumentError {
 	return &ArgumentError{Call: call, Arg: arg, Msg: fmt.Sprintf(format, args...)}
-}
-
-// validateTransferArgs applies the shared boundary checks for every
-// transfer-registering entry point: a negative size and an empty or nil
-// resource list are caller bugs and are rejected before they can reach
-// the solver (a zero size is a documented no-op and is handled by the
-// callers before validation).
-func validateTransferArgs(call string, size float64, resources []*Resource) {
-	if size < 0 {
-		panic(badArg(call, "size", "negative transfer size %g", size))
-	}
-	if len(resources) == 0 {
-		panic(badArg(call, "resources", "transfer with no resources"))
-	}
-	for _, r := range resources {
-		if r == nil {
-			panic(badArg(call, "resources", "nil resource in transfer"))
-		}
-	}
 }

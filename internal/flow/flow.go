@@ -17,15 +17,14 @@
 // each event re-solves every active transfer in one pass over it (see
 // solver): on the measured workloads an event's contended neighbourhood
 // usually spans most of the active set, so restricting the solve to it
-// costs more than it saves. Transfer and Pending records, private
-// rate-cap resources (AcquireCap) and the per-event scratch all recycle
-// through free lists, so steady-state transfer churn performs no
-// allocations.
+// costs more than it saves. Transfer records, batches, private rate-cap
+// resources (AcquireCap) and the per-event scratch all recycle through
+// free lists, so steady-state transfer churn performs no allocations.
 //
-// Fan-out I/O (one logical operation striping over many servers) should
-// register its shards through a Batch: all shards join the graph under a
-// single reallocation and complete through one shared handle, instead of
-// paying one full solve per shard.
+// Every transfer enters the graph through a Batch. A blocking Transfer is
+// a one-shard batch; fan-out I/O (one logical operation striping over
+// many servers) adds one shard per server, so all shards join the graph
+// under a single reallocation instead of paying one full solve each.
 package flow
 
 import (
@@ -93,47 +92,11 @@ func (r *Resource) Utilization() float64 { return r.load / r.capacity }
 // transfer is one in-flight bulk movement — a node of the solver's graph.
 // Records are recycled through the network's free list once complete.
 type transfer struct {
-	pending   *Pending
+	batch     *Batch
 	remaining float64
 	rate      float64
 	resources []*Resource // deduplicated, in caller order; owned, reused
 	fixed     bool
-}
-
-// Pending is a handle to one or more asynchronous transfers started with
-// StartTransfer or a Batch. Multiple processes may Wait on it; they all
-// resume when every attached transfer completes.
-type Pending struct {
-	refs    int // attached transfers still in flight
-	done    bool
-	waiters []*sim.Proc
-}
-
-// Done reports whether every attached transfer has completed.
-func (pd *Pending) Done() bool { return pd.done }
-
-// Wait blocks p until the transfer completes.
-func (pd *Pending) Wait(p *sim.Proc) {
-	if pd.done {
-		return
-	}
-	pd.waiters = append(pd.waiters, p)
-	p.Suspend()
-}
-
-// complete records one attached transfer finishing; the handle resolves
-// (and its waiters resume) when the last one does.
-func (pd *Pending) complete() {
-	pd.refs--
-	if pd.refs > 0 {
-		return
-	}
-	pd.done = true
-	for i, p := range pd.waiters {
-		p.Resume()
-		pd.waiters[i] = nil
-	}
-	pd.waiters = pd.waiters[:0]
 }
 
 // Net manages the set of active transfers over a shared resource pool.
@@ -144,16 +107,14 @@ type Net struct {
 	lastUpdate float64
 	sol        solver
 
-	// Free lists: steady-state churn recycles transfer and Pending
-	// records, batches, private rate caps and the onTimer scratch, so
-	// the hot path performs no allocations.
+	// Free lists: steady-state churn recycles transfer records,
+	// batches, private rate caps and the onTimer scratch, so the hot
+	// path performs no allocations.
 	freeTransfers []*transfer
 	tBlock        []transfer // bump region; getTransfer carves when the free list is dry
-	freePendings  []*Pending
 	freeBatches   []*Batch
 	freeCaps      []*Resource
 	doneScratch   []*transfer
-	capScratch    []*Resource
 
 	// Stats.
 	TotalBytes     float64
@@ -192,47 +153,20 @@ func (n *Net) SetResourceCapacity(r *Resource, capacity float64) {
 
 // Transfer moves size bytes across the given resources, blocking p until
 // the transfer completes. A transfer of zero size returns immediately; a
-// negative size or an empty resource list panics with *ArgumentError.
+// negative size or an empty resource list panics with *ArgumentError. It
+// is a one-shard Batch, so blocking transfers and fan-outs share one
+// registration path.
 func (n *Net) Transfer(p *sim.Proc, size float64, resources ...*Resource) {
-	if size == 0 {
-		return
-	}
-	validateTransferArgs("Transfer", size, resources)
-	pd := n.start(size, resources)
-	pd.Wait(p)
-	n.releasePending(pd)
-}
-
-// StartTransfer begins moving size bytes across the given resources
-// without blocking, returning a handle the caller (or several callers) can
-// Wait on. For fan-out I/O that starts many shards at once, prefer a
-// Batch: it registers every shard under a single reallocation.
-func (n *Net) StartTransfer(size float64, resources ...*Resource) *Pending {
-	if size == 0 {
-		pd := n.getPending()
-		pd.done = true
-		return pd
-	}
-	validateTransferArgs("StartTransfer", size, resources)
-	return n.start(size, resources)
-}
-
-// start registers one validated transfer and re-solves the network.
-func (n *Net) start(size float64, resources []*Resource) *Pending {
-	pd := n.getPending()
-	t := n.stage(pd, size, resources)
-	n.advance()
-	n.attach(t)
-	n.sol.solve(n.active)
-	n.scheduleNext()
-	return pd
+	b := n.NewBatch()
+	b.add("Transfer", size, resources)
+	b.Run(p)
 }
 
 // stage builds a transfer record (deduplicating its resource list so a
 // transfer that lists the same resource twice does not double-count
 // itself during water-filling) and accounts it, without touching the
 // graph yet.
-func (n *Net) stage(pd *Pending, size float64, resources []*Resource) *transfer {
+func (n *Net) stage(b *Batch, size float64, resources []*Resource) *transfer {
 	t := n.getTransfer()
 	for _, r := range resources {
 		seen := false
@@ -246,9 +180,9 @@ func (n *Net) stage(pd *Pending, size float64, resources []*Resource) *transfer 
 			t.resources = append(t.resources, r)
 		}
 	}
-	t.pending = pd
+	t.batch = b
 	t.remaining = size
-	pd.refs++
+	b.refs++
 	n.TotalBytes += size
 	n.TotalTransfers++
 	return t
@@ -278,31 +212,6 @@ func (n *Net) detach(t *transfer) {
 		}
 		r.load = 0
 	}
-}
-
-// TransferCapped is Transfer with a per-flow rate ceiling, modeled as a
-// pooled private resource (e.g. a single S3 connection cannot exceed
-// ~25 MB/s regardless of NIC headroom).
-func (n *Net) TransferCapped(p *sim.Proc, size, maxRate float64, resources ...*Resource) {
-	if size == 0 {
-		return
-	}
-	if size < 0 {
-		panic(badArg("TransferCapped", "size", "negative transfer size %g", size))
-	}
-	if maxRate <= 0 {
-		// Validate here rather than at cap construction: the bug is in
-		// the caller's rate, so name the caller.
-		panic(badArg("TransferCapped", "maxRate", "non-positive max rate %g", maxRate))
-	}
-	cap := n.AcquireCap("flowcap", maxRate)
-	// The scratch is only live until start() copies it into the transfer
-	// record, before p parks, so concurrent TransferCapped calls from
-	// other processes cannot clobber an in-use view.
-	n.capScratch = append(n.capScratch[:0], cap)
-	n.capScratch = append(n.capScratch, resources...)
-	n.Transfer(p, size, n.capScratch...)
-	n.ReleaseCap(cap)
 }
 
 // AcquireCap returns a private rate-limit resource from the network's
@@ -406,7 +315,7 @@ func (n *Net) onTimer() {
 		n.detach(t)
 	}
 	for _, t := range done {
-		t.pending.complete()
+		t.batch.complete()
 	}
 	n.sol.solve(n.active)
 	n.scheduleNext()
@@ -443,7 +352,7 @@ func (n *Net) getTransfer() *transfer {
 }
 
 func (n *Net) recycleTransfer(t *transfer) {
-	t.pending = nil
+	t.batch = nil
 	t.remaining = 0
 	t.rate = 0
 	t.fixed = false
@@ -452,27 +361,4 @@ func (n *Net) recycleTransfer(t *transfer) {
 	}
 	t.resources = t.resources[:0]
 	n.freeTransfers = append(n.freeTransfers, t)
-}
-
-func (n *Net) getPending() *Pending {
-	if k := len(n.freePendings); k > 0 {
-		pd := n.freePendings[k-1]
-		n.freePendings[k-1] = nil
-		n.freePendings = n.freePendings[:k-1]
-		return pd
-	}
-	return &Pending{}
-}
-
-// releasePending recycles a resolved handle. Only call sites that own the
-// handle exclusively (Transfer, Batch.Run) release; handles escaping via
-// StartTransfer are left to the garbage collector, so an external holder
-// can never observe a recycled Pending.
-func (n *Net) releasePending(pd *Pending) {
-	if !pd.done {
-		panic("flow: releasing incomplete Pending")
-	}
-	pd.done = false
-	pd.refs = 0
-	n.freePendings = append(n.freePendings, pd)
 }

@@ -147,7 +147,9 @@ func TestTransferCapped(t *testing.T) {
 	r := NewResource("nic", 1000)
 	var done float64
 	e.Go("t", func(p *sim.Proc) {
-		n.TransferCapped(p, 100, 10, r)
+		c := n.AcquireCap("flowcap", 10)
+		n.Transfer(p, 100, c, r)
+		n.ReleaseCap(c)
 		done = p.Now()
 	})
 	e.Run()
@@ -292,11 +294,13 @@ func TestTransferCappedNonPositiveRatePanics(t *testing.T) {
 				return
 			}
 			msg := fmt.Sprint(v)
-			if !strings.Contains(msg, "TransferCapped") || !strings.Contains(msg, "-3") {
+			if !strings.Contains(msg, "AcquireCap") || !strings.Contains(msg, "-3") {
 				t.Errorf("panic %q does not name the caller's rate", msg)
 			}
 		}()
-		n.TransferCapped(p, 100, -3, r)
+		c := n.AcquireCap("flowcap", -3)
+		n.Transfer(p, 100, c, r)
+		n.ReleaseCap(c)
 	})
 	func() {
 		// The sim engine re-panics process panics from Run; swallow the
@@ -454,10 +458,9 @@ func TestTransferArgumentErrors(t *testing.T) {
 		{"negative size", func(n *Net, p *sim.Proc, r *Resource) { n.Transfer(p, -5, r) }, "Transfer", "size"},
 		{"no resources", func(n *Net, p *sim.Proc, r *Resource) { n.Transfer(p, 10) }, "Transfer", "resources"},
 		{"nil resource", func(n *Net, p *sim.Proc, r *Resource) { n.Transfer(p, 10, nil) }, "Transfer", "resources"},
-		{"start negative", func(n *Net, p *sim.Proc, r *Resource) { n.StartTransfer(-1, r) }, "StartTransfer", "size"},
-		{"start no resources", func(n *Net, p *sim.Proc, r *Resource) { n.StartTransfer(10) }, "StartTransfer", "resources"},
 		{"batch negative", func(n *Net, p *sim.Proc, r *Resource) { n.NewBatch().Add(-2, r) }, "Batch.Add", "size"},
-		{"capped negative size", func(n *Net, p *sim.Proc, r *Resource) { n.TransferCapped(p, -1, 10, r) }, "TransferCapped", "size"},
+		{"batch no resources", func(n *Net, p *sim.Proc, r *Resource) { n.NewBatch().Add(10) }, "Batch.Add", "resources"},
+		{"batch nil resource", func(n *Net, p *sim.Proc, r *Resource) { n.NewBatch().Add(10, r, nil) }, "Batch.Add", "resources"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -190,58 +190,6 @@ func (d *realDriver) load(idx int) float64     { return d.rs[idx].Load() }
 func (d *realDriver) activeCount() int         { return d.n.Active() }
 func (d *realDriver) totals() (float64, int64) { return d.n.TotalBytes, d.n.TotalTransfers }
 
-type oracleDriver struct {
-	n  *oracleNet
-	rs []*oracleResource
-}
-
-func newOracleDriver(e *sim.Engine, caps []float64) *oracleDriver {
-	d := &oracleDriver{n: newOracleNet(e), rs: make([]*oracleResource, 0, len(caps))}
-	for i, c := range caps {
-		d.rs = append(d.rs, newOracleResource(resName(i), c))
-	}
-	return d
-}
-
-func (d *oracleDriver) pick(idxs []int) []*oracleResource {
-	rs := make([]*oracleResource, len(idxs))
-	for i, idx := range idxs {
-		rs[i] = d.rs[idx]
-	}
-	return rs
-}
-
-func (d *oracleDriver) transfer(p *sim.Proc, size float64, res []int) {
-	d.n.Transfer(p, size, d.pick(res)...)
-}
-
-// fanout reproduces the historical fan-out idiom: one StartTransfer per
-// shard (each paying a full reallocation), a private window-cap resource,
-// then waiting the shard handles in order.
-func (d *oracleDriver) fanout(p *sim.Proc, size float64, shards [][]int, capRate float64) {
-	var cap *oracleResource
-	if capRate > 0 {
-		cap = newOracleResource("win", capRate)
-	}
-	var pds []*oraclePending
-	for _, sh := range shards {
-		var rs []*oracleResource
-		if cap != nil {
-			rs = append(rs, cap)
-		}
-		rs = append(rs, d.pick(sh)...)
-		pds = append(pds, d.n.StartTransfer(size, rs...))
-	}
-	for _, pd := range pds {
-		pd.Wait(p)
-	}
-}
-
-func (d *oracleDriver) setCapacity(idx int, c float64) { d.n.SetResourceCapacity(d.rs[idx], c) }
-func (d *oracleDriver) load(idx int) float64           { return d.rs[idx].Load() }
-func (d *oracleDriver) activeCount() int               { return d.n.Active() }
-func (d *oracleDriver) totals() (float64, int64)       { return d.n.TotalBytes, d.n.TotalTransfers }
-
 // runScript schedules the whole scenario up front (so both runs assign
 // identical event sequence numbers to the script skeleton) and executes
 // it to completion.

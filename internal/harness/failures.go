@@ -96,13 +96,13 @@ func normalizeRates(rates []float64) []float64 {
 	return dedup
 }
 
-// PairedCell is one aggregated cell of the failure or outage study,
-// paired with its baseline: the same application and storage with no
-// failures, outages or checkpointing.
+// PairedCell is one aggregated cell of the failure, outage or scale
+// study, paired with its baseline: the same application and storage with
+// no failures, outages or checkpointing, or at the smallest cluster size.
 type PairedCell struct {
 	Config   RunConfig  // the cell's configuration, study knobs included
 	Rep      Replicated // aggregate over Sweep.Seeds replicates
-	Baseline Replicated // the knob-free aggregate for the same app/storage
+	Baseline Replicated // the baseline aggregate for the same app/storage
 }
 
 // FailureCell is one (application, storage, rate) cell of the failure
@@ -118,6 +118,34 @@ func pairCells(cfgs []RunConfig, reps []Replicated, block int) []PairedCell {
 		cells[i] = PairedCell{Config: cfgs[i], Rep: rep, Baseline: reps[i-i%block]}
 	}
 	return cells
+}
+
+// Speedup is the makespan ratio over the smallest-size baseline (2 =
+// twice as fast as the baseline cluster).
+func (c PairedCell) Speedup() float64 {
+	if c.Rep.Makespan.Mean <= 0 {
+		return 0
+	}
+	return c.Baseline.Makespan.Mean / c.Rep.Makespan.Mean
+}
+
+// Efficiency is Speedup divided by the cluster-size ratio (1 = perfect
+// linear scaling from the baseline size).
+func (c PairedCell) Efficiency(baselineWorkers int) float64 {
+	if c.Config.Workers <= 0 || baselineWorkers <= 0 {
+		return 0
+	}
+	return c.Speedup() / (float64(c.Config.Workers) / float64(baselineWorkers))
+}
+
+// CostRatio is the per-second-billing cost ratio over the smallest-size
+// baseline: > 1 means the larger cluster finished the workflow at a
+// higher total cost.
+func (c PairedCell) CostRatio() float64 {
+	if c.Baseline.CostSecond.Mean <= 0 {
+		return 0
+	}
+	return c.Rep.CostSecond.Mean / c.Baseline.CostSecond.Mean
 }
 
 // Checkpointed reports whether this cell runs the checkpoint/restart arm.

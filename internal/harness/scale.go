@@ -52,10 +52,13 @@ type ScaleStudyOptions struct {
 	Sweep SweepOptions
 }
 
+// normalize fills the defaults and sorts and deduplicates a copy of
+// Sizes, leaving the caller's slice untouched.
 func (o *ScaleStudyOptions) normalize() {
-	sort.Ints(o.Sizes)
-	dedup := o.Sizes[:0]
-	for _, n := range o.Sizes {
+	sizes := append([]int(nil), o.Sizes...)
+	sort.Ints(sizes)
+	dedup := sizes[:0]
+	for _, n := range sizes {
 		if n > 0 && (len(dedup) == 0 || n != dedup[len(dedup)-1]) {
 			dedup = append(dedup, n)
 		}
@@ -76,39 +79,7 @@ func (o *ScaleStudyOptions) normalize() {
 // ScaleCell is one aggregated (application, storage, cluster-size) cell,
 // paired with the smallest-size cell for the same application and
 // storage system.
-type ScaleCell struct {
-	Config   RunConfig  // the cell's configuration, Workers included
-	Rep      Replicated // aggregate over Sweep.Seeds replicates
-	Baseline Replicated // the smallest-size aggregate for the same app/storage
-}
-
-// Speedup is the makespan ratio over the smallest-size baseline (2 =
-// twice as fast as the baseline cluster).
-func (c ScaleCell) Speedup() float64 {
-	if c.Rep.Makespan.Mean <= 0 {
-		return 0
-	}
-	return c.Baseline.Makespan.Mean / c.Rep.Makespan.Mean
-}
-
-// Efficiency is Speedup divided by the cluster-size ratio (1 = perfect
-// linear scaling from the baseline size).
-func (c ScaleCell) Efficiency(baselineWorkers int) float64 {
-	if c.Config.Workers <= 0 || baselineWorkers <= 0 {
-		return 0
-	}
-	return c.Speedup() / (float64(c.Config.Workers) / float64(baselineWorkers))
-}
-
-// CostRatio is the per-second-billing cost ratio over the smallest-size
-// baseline: > 1 means the larger cluster finished the workflow at a
-// higher total cost.
-func (c ScaleCell) CostRatio() float64 {
-	if c.Baseline.CostSecond.Mean <= 0 {
-		return 0
-	}
-	return c.Rep.CostSecond.Mean / c.Baseline.CostSecond.Mean
-}
+type ScaleCell = PairedCell
 
 // ScaleStudy runs the large-matrix study and renders it: a table of
 // makespan, speedup, parallel efficiency and cost versus the
@@ -140,15 +111,7 @@ func ScaleStudy(o ScaleStudyOptions) ([]ScaleCell, string, error) {
 	}
 	// cfgs is blocks of len(o.Sizes) sharing (app, storage); the first
 	// entry of each block is the smallest-size baseline.
-	nSizes := len(o.Sizes)
-	cells := make([]ScaleCell, len(reps))
-	for i, rep := range reps {
-		cells[i] = ScaleCell{
-			Config:   cfgs[i],
-			Rep:      rep,
-			Baseline: reps[i-i%nSizes],
-		}
-	}
+	cells := pairCells(cfgs, reps, len(o.Sizes))
 	return cells, renderScaleStudy(o, cells), nil
 }
 

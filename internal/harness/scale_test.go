@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,29 @@ func TestScaleStudyDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if a, b := run(1), run(8); a != b {
 		t.Errorf("scale study diverged between -parallel 1 and 8:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestScaleStudyLeavesCallerSizes pins that the study sorts and
+// deduplicates its own copy of the size ladder: the caller's slice is
+// input, not scratch.
+func TestScaleStudyLeavesCallerSizes(t *testing.T) {
+	t.Parallel()
+	sizes := []int{4, 2, 2}
+	cells, _, err := ScaleStudy(ScaleStudyOptions{
+		Sizes:    sizes,
+		Apps:     []string{"montage"},
+		Storages: []string{"gluster-nufa"},
+		Build:    buildSmallApp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 2, 2}; !slices.Equal(sizes, want) {
+		t.Errorf("caller's Sizes = %v after ScaleStudy, want %v untouched", sizes, want)
+	}
+	if len(cells) != 2 || cells[0].Config.Workers != 2 || cells[1].Config.Workers != 4 {
+		t.Errorf("got %d cells, want the ladder 2, 4 in order", len(cells))
 	}
 }
 

@@ -350,31 +350,6 @@ func TestWaitGroupZeroCountNoBlock(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	e := NewEngine()
-	sig := NewSignal(e)
-	released := 0
-	for i := 0; i < 5; i++ {
-		e.Go("waiter", func(p *Proc) {
-			sig.Wait(p)
-			released++
-		})
-	}
-	e.At(7, func() { sig.Trigger() })
-	e.Go("late", func(p *Proc) {
-		p.Sleep(9)
-		sig.Wait(p) // already fired: returns immediately
-		released++
-	})
-	e.Run()
-	if released != 6 {
-		t.Errorf("released = %d, want 6", released)
-	}
-	if !sig.Fired() {
-		t.Error("signal not marked fired")
-	}
-}
-
 func TestMailboxFIFO(t *testing.T) {
 	e := NewEngine()
 	m := NewMailbox[int](e)
@@ -432,19 +407,6 @@ func TestMailboxMultipleConsumers(t *testing.T) {
 	e.Run()
 	if total != 45 {
 		t.Errorf("total = %d, want 45 (all items consumed once)", total)
-	}
-}
-
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox[string](e)
-	if _, ok := m.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox succeeded")
-	}
-	m.Put("x")
-	v, ok := m.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q, %v; want x, true", v, ok)
 	}
 }
 

@@ -71,16 +71,3 @@ func (m *Mailbox[T]) Get(p *Proc) (v T, ok bool) {
 		p.suspend()
 	}
 }
-
-// TryGet dequeues an item without blocking, reporting whether one was
-// available.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
-		return v, false
-	}
-	v = m.items[0]
-	var zero T
-	m.items[0] = zero
-	m.items = m.items[1:]
-	return v, true
-}

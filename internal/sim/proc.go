@@ -80,9 +80,6 @@ func (e *Engine) start(p *Proc, fn func(p *Proc)) {
 	e.resume(p)
 }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
 
@@ -123,6 +120,3 @@ func (p *Proc) Sleep(d float64) {
 	p.e.schedule(p.e.now+d, p.resumeFn)
 	p.park()
 }
-
-// Yield gives other runnable events at the current time a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }

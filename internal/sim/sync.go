@@ -36,9 +36,6 @@ func (s *Semaphore) Available() int { return s.avail }
 // InUse returns capacity minus available.
 func (s *Semaphore) InUse() int { return s.capacity - s.avail }
 
-// Waiting returns the number of blocked acquirers.
-func (s *Semaphore) Waiting() int { return len(s.waiters) }
-
 // Acquire takes n units, blocking p until they are available. Requesting
 // more than the total capacity panics (it would deadlock forever).
 func (s *Semaphore) Acquire(p *Proc, n int) {
@@ -118,50 +115,11 @@ func (w *WaitGroup) Add(delta int) {
 // Done decrements the count by one.
 func (w *WaitGroup) Done() { w.Add(-1) }
 
-// Count returns the current count.
-func (w *WaitGroup) Count() int { return w.count }
-
 // Wait blocks p until the count is zero. A zero count returns immediately.
 func (w *WaitGroup) Wait(p *Proc) {
 	if w.count == 0 {
 		return
 	}
 	w.waiters = append(w.waiters, p)
-	p.suspend()
-}
-
-// Signal is a one-shot broadcast event: processes wait until it is
-// triggered; waits after the trigger return immediately.
-type Signal struct {
-	e       *Engine
-	fired   bool
-	waiters []*Proc
-}
-
-// NewSignal returns an untriggered signal.
-func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
-
-// Fired reports whether the signal has been triggered.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Trigger fires the signal, waking all waiters. Triggering twice is a
-// no-op.
-func (s *Signal) Trigger() {
-	if s.fired {
-		return
-	}
-	s.fired = true
-	for _, p := range s.waiters {
-		s.e.wake(p)
-	}
-	s.waiters = nil
-}
-
-// Wait blocks p until the signal fires.
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, p)
 	p.suspend()
 }

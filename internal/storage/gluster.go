@@ -51,14 +51,6 @@ func (g *Gluster) Name() string {
 	return "gluster-dist"
 }
 
-// Description implements System.
-func (g *Gluster) Description() string {
-	if g.Mode == NUFA {
-		return "GlusterFS NUFA: writes land on the local disk, reads follow the file"
-	}
-	return "GlusterFS distribute: files placed by filename hash across all nodes"
-}
-
 // MinWorkers implements System: "the GlusterFS and PVFS configurations
 // used require at least two nodes to construct a valid file system".
 func (g *Gluster) MinWorkers() int { return 2 }

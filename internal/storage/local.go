@@ -27,11 +27,6 @@ func NewLocal() *Local { return &Local{} }
 // Name implements System.
 func (l *Local) Name() string { return "local" }
 
-// Description implements System.
-func (l *Local) Description() string {
-	return "single-node RAID0 ephemeral disk (no sharing)"
-}
-
 // MinWorkers implements System.
 func (l *Local) MinWorkers() int { return 1 }
 

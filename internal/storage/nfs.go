@@ -79,15 +79,6 @@ func NewNFSSync() *NFS {
 // Name implements System.
 func (n *NFS) Name() string { return n.label }
 
-// Description implements System.
-func (n *NFS) Description() string {
-	mode := "async"
-	if !n.Async {
-		mode = "sync"
-	}
-	return "central NFS server on a dedicated " + n.ServerType.Name + " (" + mode + ", noatime)"
-}
-
 // MinWorkers implements System.
 func (n *NFS) MinWorkers() int { return 1 }
 

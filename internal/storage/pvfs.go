@@ -54,11 +54,6 @@ func NewPVFS() *PVFS { return &PVFS{} }
 // Name implements System.
 func (v *PVFS) Name() string { return "pvfs" }
 
-// Description implements System.
-func (v *PVFS) Description() string {
-	return "PVFS 2.6.3 striped over all workers (64 KB stripes, distributed metadata)"
-}
-
 // MinWorkers implements System.
 func (v *PVFS) MinWorkers() int { return 2 }
 

@@ -51,14 +51,6 @@ func NewS3NoCache() *S3 { return &S3{CacheEnabled: false, label: "s3-nocache"} }
 // Name implements System.
 func (s *S3) Name() string { return s.label }
 
-// Description implements System.
-func (s *S3) Description() string {
-	if s.CacheEnabled {
-		return "Amazon S3 with per-node whole-file client cache"
-	}
-	return "Amazon S3, no client cache (every access is a GET/PUT)"
-}
-
 // MinWorkers implements System.
 func (s *S3) MinWorkers() int { return 1 }
 

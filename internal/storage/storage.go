@@ -59,8 +59,6 @@ func (env *Env) recordCache(p *sim.Proc, hit bool, layer string, node *cluster.N
 type System interface {
 	// Name is the short identifier used in figures ("gluster-nufa").
 	Name() string
-	// Description is a one-line summary for reports.
-	Description() string
 	// MinWorkers is the smallest worker count the system supports
 	// (GlusterFS and PVFS need two nodes to form a valid file system).
 	MinWorkers() int

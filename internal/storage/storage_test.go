@@ -499,9 +499,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if sys.Name() != name {
 			t.Errorf("ByName(%s).Name() = %s", name, sys.Name())
 		}
-		if sys.Description() == "" {
-			t.Errorf("%s has no description", name)
-		}
 	}
 	if _, err := ByName("bogus"); err == nil {
 		t.Error("expected error for unknown system")

@@ -35,11 +35,6 @@ func NewXtreemFS() *XtreemFS { return &XtreemFS{} }
 // Name implements System.
 func (x *XtreemFS) Name() string { return "xtreemfs" }
 
-// Description implements System.
-func (x *XtreemFS) Description() string {
-	return "XtreemFS wide-area file system (high per-op latency; abandoned by the paper)"
-}
-
 // MinWorkers implements System.
 func (x *XtreemFS) MinWorkers() int { return 1 }
 

@@ -19,13 +19,13 @@ import (
 	"ec2wfsim/internal/workflow"
 )
 
-// Default overheads for the Condor/DAGMan stack, calibrated to the
-// per-job costs observed with Condor 7.x glide-ins: a submit throttle in
-// DAGMan and a match/claim/activate delay before the job's executable
-// starts on the slot.
+// Overheads of the Condor/DAGMan stack, calibrated to the per-job costs
+// observed with Condor 7.x glide-ins: a submit throttle in DAGMan and a
+// match/claim/activate delay before the job's executable starts on the
+// slot.
 const (
-	DefaultSubmitDelay  = 0.010
-	DefaultStartLatency = 0.40
+	submitDelay  = 0.010
+	startLatency = 0.40
 
 	// DefaultMaxRetries is DAGMan's RETRY default, applied when
 	// Options.MaxRetries is zero and failures are injected.
@@ -55,16 +55,6 @@ type Options struct {
 	// DataAware enables the locality-aware scheduler ablation (A-2):
 	// idle slots prefer ready jobs whose inputs live on their node.
 	DataAware bool
-
-	// EnforceMemory gates task start on resident-memory availability,
-	// the mechanism that makes Broadband memory-limited. On by default
-	// via Run; set SkipMemoryLimit to disable (ablation).
-	SkipMemoryLimit bool
-
-	// SubmitDelay and StartLatency override the stack overheads when
-	// non-zero.
-	SubmitDelay  float64
-	StartLatency float64
 
 	// FailureRate injects transient task failures with the given
 	// per-attempt probability (spot hiccups, OOM kills, flaky NFS
@@ -186,12 +176,6 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 	if opts.Cluster == nil || opts.Storage == nil {
 		return nil, fmt.Errorf("wms: options need both a cluster and a storage system")
 	}
-	if opts.SubmitDelay == 0 {
-		opts.SubmitDelay = DefaultSubmitDelay
-	}
-	if opts.StartLatency == 0 {
-		opts.StartLatency = DefaultStartLatency
-	}
 	if opts.CheckpointInterval < 0 {
 		return nil, fmt.Errorf("wms: negative checkpoint interval %g", opts.CheckpointInterval)
 	}
@@ -199,19 +183,17 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		return nil, fmt.Errorf("wms: negative outage rate %g", opts.OutageRate)
 	}
 	// Check every task can ever run: memory demand must fit some node.
-	if !opts.SkipMemoryLimit {
-		for _, t := range w.Tasks {
-			need := cluster.MemoryMB(t.PeakMemory)
-			fits := false
-			for _, n := range opts.Cluster.Workers {
-				if need <= n.Memory.Capacity() {
-					fits = true
-					break
-				}
+	for _, t := range w.Tasks {
+		need := cluster.MemoryMB(t.PeakMemory)
+		fits := false
+		for _, n := range opts.Cluster.Workers {
+			if need <= n.Memory.Capacity() {
+				fits = true
+				break
 			}
-			if !fits {
-				return nil, fmt.Errorf("wms: task %s needs %d MB, larger than any worker", t.ID, need)
-			}
+		}
+		if !fits {
+			return nil, fmt.Errorf("wms: task %s needs %d MB, larger than any worker", t.ID, need)
 		}
 	}
 
@@ -346,7 +328,7 @@ func (x *execution) execute() {
 			if !ok {
 				return
 			}
-			p.Sleep(x.opts.SubmitDelay)
+			p.Sleep(submitDelay)
 			x.disp.submit(&job{task: t})
 		}
 	})
@@ -557,8 +539,10 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 		})
 	}
 
+	// Memory admission gates task start on resident-memory availability,
+	// the mechanism that makes Broadband memory-limited.
 	memMB := 0
-	if !x.opts.SkipMemoryLimit && t.PeakMemory > 0 {
+	if t.PeakMemory > 0 {
 		memMB = cluster.MemoryMB(t.PeakMemory)
 		if node.Memory.Available() < memMB {
 			x.result.MemoryWaits++
@@ -612,7 +596,7 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 		return
 	}
 
-	p.Sleep(x.opts.StartLatency)
+	p.Sleep(startLatency)
 	if killed() {
 		// The node died during slot activation: abort before staging so a
 		// dead node issues no storage traffic.

@@ -131,15 +131,18 @@ func TestMemoryLimitingThrottlesConcurrency(t *testing.T) {
 	if res.MemoryWaits == 0 {
 		t.Error("no memory waits recorded despite oversubscription")
 	}
-	// Same fan without the limit: 10s, one wave.
+	// The same fan with tasks that all fit in memory: 10s, one wave.
 	e2, c2, sys2 := deploy(t, "local", 1)
-	w2 := fanWorkflow(t, 8, 10, 4.2*units.GiB)
-	res2, err := Run(e2, Options{Cluster: c2, Storage: sys2, SkipMemoryLimit: true}, w2)
+	w2 := fanWorkflow(t, 8, 10, 0.5*units.GiB)
+	res2, err := Run(e2, Options{Cluster: c2, Storage: sys2}, w2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Makespan > 15 {
-		t.Errorf("unlimited makespan = %.1f, want ~10-12", res2.Makespan)
+		t.Errorf("fitting fan makespan = %.1f, want ~10-12 (one wave)", res2.Makespan)
+	}
+	if res2.MemoryWaits != 0 {
+		t.Errorf("fitting fan recorded %d memory waits, want 0", res2.MemoryWaits)
 	}
 }
 
