@@ -72,8 +72,7 @@ func (b *Batch) Run(p *sim.Proc) {
 			b.ts[i] = nil
 		}
 		b.ts = b.ts[:0]
-		n.sol.solve(n.active)
-		n.scheduleNext()
+		n.reallocate()
 		b.p = p
 		p.Suspend()
 	}

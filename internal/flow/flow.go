@@ -13,11 +13,13 @@
 //
 // Rates are recomputed whenever a transfer starts or finishes or a
 // capacity changes, so rates are piecewise constant and completions are
-// exact. The network maintains an explicit transfer↔resource graph, and
-// each event re-solves every active transfer in one pass over it (see
-// solver): on the measured workloads an event's contended neighbourhood
-// usually spans most of the active set, so restricting the solve to it
-// costs more than it saves. Transfer records, batches, private rate-cap
+// exact. The network maintains an explicit transfer↔resource graph and
+// the set of live resources (those some active transfer crosses), and
+// each event re-solves every active transfer in one pass that starts
+// from the live set and also yields the next completion (see solver): on
+// the measured workloads an event's contended neighbourhood usually
+// spans most of the active set, so restricting the solve to it costs
+// more than it saves. Transfer records, batches, private rate-cap
 // resources (AcquireCap) and the per-event scratch all recycle through
 // free lists, so steady-state transfer churn performs no allocations.
 //
@@ -45,13 +47,13 @@ type Resource struct {
 	name     string
 	capacity float64
 
-	// Solver scratch (epoch-guarded, see solver.solve) and the current
+	// Solver scratch (reset per solve, see solver.solve) and the current
 	// committed allocation. Kept adjacent to capacity so the whole set
 	// the water-filling inner loop touches shares a cache line.
 	residual float64
 	count    int
 	load     float64 // committed allocation, for utilization queries
-	visit    int64
+	liveIdx  int     // position in Net.live while members is non-empty
 
 	// pooledCap marks resources minted by AcquireCap; pooled reports
 	// one currently sitting in the free list. ReleaseCap uses them to
@@ -62,7 +64,8 @@ type Resource struct {
 
 	// members lists the active transfers crossing this resource, in
 	// start order — one side of the solver's bipartite graph. It is
-	// maintained incrementally by attach/detach.
+	// maintained incrementally by attach/detach, which also keep the
+	// resource in Net.live exactly while the list is non-empty.
 	members []*transfer
 }
 
@@ -96,13 +99,16 @@ type transfer struct {
 	remaining float64
 	rate      float64
 	resources []*Resource // deduplicated, in caller order; owned, reused
-	fixed     bool
+	seq       int64       // attach stamp: seq order is start order
+	fixed     int64       // epoch of the solve that last fixed the rate
 }
 
 // Net manages the set of active transfers over a shared resource pool.
 type Net struct {
 	e          *sim.Engine
-	active     []*transfer // in start order (the solver relies on this)
+	active     []*transfer // in start order
+	live       []*Resource // resources with active members, in any order
+	seq        int64       // last transfer.seq stamped
 	timer      *sim.ReTimer
 	lastUpdate float64
 	sol        solver
@@ -142,13 +148,12 @@ func (n *Net) SetResourceCapacity(r *Resource, capacity float64) {
 	r.capacity = capacity
 	if len(r.members) == 0 {
 		// An idle resource is skipped by the solver (which only visits
-		// resources of active flows), so a load left over from earlier
-		// traffic would survive the capacity change and Utilization()
-		// could report nonsense (> 1) on a drained resource.
+		// live resources), so a load left over from earlier traffic
+		// would survive the capacity change and Utilization() could
+		// report nonsense (> 1) on a drained resource.
 		r.load = 0
 	}
-	n.sol.solve(n.active)
-	n.scheduleNext()
+	n.reallocate()
 }
 
 // Transfer moves size bytes across the given resources, blocking p until
@@ -189,17 +194,25 @@ func (n *Net) stage(b *Batch, size float64, resources []*Resource) *transfer {
 }
 
 // attach inserts t into the graph: the active list and every crossed
-// resource's membership list, both in start order.
+// resource's membership list, both in start order, stamped with the next
+// start sequence number. A resource gaining its first member goes live.
 func (n *Net) attach(t *transfer) {
+	n.seq++
+	t.seq = n.seq
 	n.active = append(n.active, t)
 	for _, r := range t.resources {
+		if len(r.members) == 0 {
+			r.liveIdx = len(n.live)
+			n.live = append(n.live, r)
+		}
 		r.members = append(r.members, t)
 	}
 }
 
 // detach removes a completed transfer from the graph, preserving member
 // order, and clears the committed loads of the resources it crossed (the
-// solver recomputes the ones that still carry traffic).
+// solver recomputes the ones that still carry traffic). A resource losing
+// its last member leaves the live set by swap-remove.
 func (n *Net) detach(t *transfer) {
 	for _, r := range t.resources {
 		for i, m := range r.members {
@@ -211,6 +224,13 @@ func (n *Net) detach(t *transfer) {
 			}
 		}
 		r.load = 0
+		if len(r.members) == 0 {
+			last := n.live[len(n.live)-1]
+			n.live[r.liveIdx] = last
+			last.liveIdx = r.liveIdx
+			n.live[len(n.live)-1] = nil
+			n.live = n.live[:len(n.live)-1]
+		}
 	}
 }
 
@@ -269,30 +289,17 @@ func (n *Net) advance() {
 	}
 }
 
-// scheduleNext arms the timer for the earliest completion.
-func (n *Net) scheduleNext() {
+// reallocate re-solves every active transfer and arms the timer for the
+// earliest completion the solve reports.
+func (n *Net) reallocate() {
 	n.timer.Stop()
 	if len(n.active) == 0 {
 		return
 	}
-	next := -1.0
-	for _, t := range n.active {
-		if t.remaining <= completionEps {
-			next = 0
-			break
-		}
-		if t.rate <= 0 {
-			// Starved flow: another completion will free capacity; if none
-			// exists the simulation will deadlock-panic, which is correct
-			// (it means resources were overcommitted by construction).
-			continue
-		}
-		eta := t.remaining / t.rate
-		if next < 0 || eta < next {
-			next = eta
-		}
-	}
+	next := n.sol.solve(n.active, n.live)
 	if next < 0 {
+		// No completion can ever free capacity: the resources were
+		// overcommitted by construction.
 		panic("flow: all active transfers starved")
 	}
 	n.timer.Arm(next)
@@ -317,8 +324,7 @@ func (n *Net) onTimer() {
 	for _, t := range done {
 		t.batch.complete()
 	}
-	n.sol.solve(n.active)
-	n.scheduleNext()
+	n.reallocate()
 	for _, t := range done {
 		n.recycleTransfer(t)
 	}
@@ -355,7 +361,8 @@ func (n *Net) recycleTransfer(t *transfer) {
 	t.batch = nil
 	t.remaining = 0
 	t.rate = 0
-	t.fixed = false
+	t.seq = 0
+	t.fixed = 0
 	for i := range t.resources {
 		t.resources[i] = nil
 	}

@@ -15,8 +15,10 @@ import (
 // from-scratch oracle on the two transfer-graph shapes that dominate the
 // paper's experiments. Both solve every active flow on every event with
 // the same arithmetic, so the gap is the graph bookkeeping: persistent
-// membership lists instead of per-solve rebuilt ones, batched fan-outs
-// and pooled records.
+// membership lists instead of per-solve rebuilt ones, a live-resource
+// set instead of a per-solve walk over every flow–resource link, the
+// completion ETA taken while fixing rates, batched fan-outs and pooled
+// records.
 //
 //   - pvfs: every logical read fans out over all servers' disks and NICs
 //     under a shared client window — one densely connected component,
@@ -131,6 +133,9 @@ func montageShape(build func(e *sim.Engine, caps []float64) flowDriver) float64 
 // stripe sets interlock into one large component). Arrivals stagger so
 // roughly a thousand transfers are concurrently active — too many for the
 // oracle, which re-solves once per shard, so only the solver runs it.
+// Every window cap has the same capacity and shard count, so most
+// bottleneck scans meet many exactly equal shares and pay the solver's
+// first-seen tie check on each; the real 1000-node cells do not.
 func scale1000Shape(build func(e *sim.Engine, caps []float64) flowDriver) float64 {
 	const (
 		nNodes   = 1000
@@ -300,9 +305,9 @@ func TestEmitFlowBench(t *testing.T) {
 	}{
 		Benchmark: "BenchmarkReallocate",
 		HostCPUs:  runtime.NumCPU(),
-		Note: "one-pass solver over persistent membership lists vs preserved " +
-			"from-scratch oracle; median of 5 interleaved runs per mode; " +
-			"see internal/flow/flowbench_test.go. scale1000 runs the solver only.",
+		Note: "one-pass solver from the live-resource set over persistent membership " +
+			"lists vs preserved from-scratch oracle; median of 5 interleaved runs per " +
+			"mode; see internal/flow/flowbench_test.go. scale1000 runs the solver only.",
 	}
 	for _, shape := range flowShapes {
 		med := benchMedian(

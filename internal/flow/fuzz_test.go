@@ -14,7 +14,8 @@ import (
 // in oracle_test.go and the shipping solver. The two must agree bit
 // for bit: every completion timestamp, every probed load, the final clock
 // and the byte totals — the same discipline the golden file enforces at
-// paper scale.
+// paper scale. Between ops, and once the run drains, the solver's graph
+// bookkeeping is checked directly (checkGraph).
 
 // script is one decoded fuzz scenario.
 type script struct {
@@ -46,10 +47,16 @@ func decodeScript(data []byte) *script {
 		pos++
 		return int(b)
 	}
+	// Capacities are fractions n/d, not integers. Integer capacities
+	// keep most shares exactly representable, so resolving a tie in
+	// another resource order rarely changes a rounding, and a solver that
+	// broke ties in the wrong order passed the seed corpus. Fractions
+	// make the tie order observable.
+	capacity := func() float64 { return float64(next()%500+1) / float64(next()%7+1) }
 	nRes := next()%5 + 1
 	s := &script{}
 	for i := 0; i < nRes; i++ {
-		s.caps = append(s.caps, float64(next()%500+1))
+		s.caps = append(s.caps, capacity())
 	}
 	subset := func() []int {
 		mask := next() % (1 << nRes)
@@ -86,7 +93,7 @@ func decodeScript(data []byte) *script {
 			}
 		case 2:
 			op.capIdx = next() % nRes
-			op.capVal = float64(next()%500 + 1)
+			op.capVal = capacity()
 		}
 		s.ops = append(s.ops, op)
 	}
@@ -111,6 +118,7 @@ type flowDriver interface {
 	load(idx int) float64
 	activeCount() int
 	totals() (float64, int64)
+	check() error // internal consistency; nil when there is nothing to check
 }
 
 type realDriver struct {
@@ -189,16 +197,79 @@ func (d *realDriver) setCapacity(idx int, c float64) { d.n.SetResourceCapacity(d
 func (d *realDriver) load(idx int) float64     { return d.rs[idx].Load() }
 func (d *realDriver) activeCount() int         { return d.n.Active() }
 func (d *realDriver) totals() (float64, int64) { return d.n.TotalBytes, d.n.TotalTransfers }
+func (d *realDriver) check() error             { return checkGraph(d.n, d.rs) }
+
+// checkGraph verifies the bookkeeping attach and detach keep for the
+// solver: the live set holds exactly the resources with active members,
+// each once and at its recorded index, and is empty once the network
+// drains; every member list is in strictly increasing start order, which
+// the solver's tie rule reads; and the member lists together hold
+// exactly the active transfers. rs are resources the caller knows about
+// (window caps are reached through the active transfers instead); each
+// must be live exactly when it has members.
+func checkGraph(n *Net, rs []*Resource) error {
+	if n.Active() == 0 && len(n.live) != 0 {
+		return fmt.Errorf("no active transfers, but %d resources are still live", len(n.live))
+	}
+	isLive := func(r *Resource) bool {
+		return r.liveIdx >= 0 && r.liveIdx < len(n.live) && n.live[r.liveIdx] == r
+	}
+	active := make(map[*transfer]bool, len(n.active))
+	for _, t := range n.active {
+		active[t] = true
+		for _, r := range t.resources {
+			if !isLive(r) {
+				return fmt.Errorf("resource %s crossed by an active transfer is not live", r.name)
+			}
+		}
+	}
+	members := make(map[*transfer]bool, len(n.active))
+	for i, r := range n.live {
+		if r.liveIdx != i {
+			return fmt.Errorf("live[%d] = %s records index %d", i, r.name, r.liveIdx)
+		}
+		if len(r.members) == 0 {
+			return fmt.Errorf("live resource %s has no members", r.name)
+		}
+		for j, t := range r.members {
+			if j > 0 && t.seq <= r.members[j-1].seq {
+				return fmt.Errorf("members of %s out of start order at %d: seq %d after %d",
+					r.name, j, t.seq, r.members[j-1].seq)
+			}
+			if !active[t] {
+				return fmt.Errorf("member %d of %s is not an active transfer", j, r.name)
+			}
+			members[t] = true
+		}
+	}
+	if len(members) != n.Active() {
+		return fmt.Errorf("member lists hold %d distinct transfers, Active() = %d", len(members), n.Active())
+	}
+	for _, r := range rs {
+		if isLive(r) != (len(r.members) > 0) {
+			return fmt.Errorf("resource %s: live %v with %d members", r.name, isLive(r), len(r.members))
+		}
+	}
+	return nil
+}
 
 // runScript schedules the whole scenario up front (so both runs assign
 // identical event sequence numbers to the script skeleton) and executes
-// it to completion.
+// it to completion. It runs the implementation's consistency check after
+// every op and after the run drains, and panics at the first failure: a
+// corrupted graph would otherwise crash the solver later, far from its
+// cause.
 func runScript(s *script, build func(e *sim.Engine, caps []float64) flowDriver) *trace {
 	e := sim.NewEngine()
 	d := build(e, s.caps)
 	tr := &trace{completions: make([]float64, len(s.ops))}
 	for i := range tr.completions {
 		tr.completions[i] = -1
+	}
+	check := func(i int) {
+		if err := d.check(); err != nil {
+			panic(fmt.Sprintf("solver bookkeeping after op %d %+v: %v", i, s.ops[i], err))
+		}
 	}
 	for i, op := range s.ops {
 		i, op := i, op
@@ -208,6 +279,7 @@ func runScript(s *script, build func(e *sim.Engine, caps []float64) flowDriver) 
 				e.Go("t", func(p *sim.Proc) {
 					d.transfer(p, op.size, op.res)
 					tr.completions[i] = p.Now()
+					check(i)
 				})
 			})
 		case 1:
@@ -215,20 +287,28 @@ func runScript(s *script, build func(e *sim.Engine, caps []float64) flowDriver) 
 				e.Go("f", func(p *sim.Proc) {
 					d.fanout(p, op.size, op.shards, op.capRt)
 					tr.completions[i] = p.Now()
+					check(i)
 				})
 			})
 		case 2:
-			e.At(op.at, func() { d.setCapacity(op.capIdx, op.capVal) })
+			e.At(op.at, func() {
+				d.setCapacity(op.capIdx, op.capVal)
+				check(i)
+			})
 		case 3:
 			e.At(op.at, func() {
 				tr.probes = append(tr.probes, float64(d.activeCount()))
 				for idx := range s.caps {
 					tr.probes = append(tr.probes, d.load(idx))
 				}
+				check(i)
 			})
 		}
 	}
 	e.Run()
+	if err := d.check(); err != nil {
+		panic(fmt.Sprintf("solver bookkeeping after the run drained: %v", err))
+	}
 	tr.end = e.Now()
 	tr.totalBytes, tr.totalCount = d.totals()
 	for idx := range s.caps {
@@ -242,11 +322,22 @@ func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{2, 90, 90, 6, 0, 1, 80, 3, 3, 3, 1, 0, 2, 1, 7, 0, 3})
 	f.Add([]byte{5, 5, 255, 120, 60, 30, 12, 8, 1, 200, 2, 31, 31, 1, 99, 0, 0, 1, 3, 3, 2, 4, 250})
 	f.Add([]byte{1, 1, 4, 0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0})
+	// Equal bottleneck shares on resources first seen in different
+	// orders: a solver that broke the tie by any other resource order
+	// diverges from the oracle at op 2.
+	f.Add([]byte("00000717Y007A088A1\xc5199170b820090"))
+	// One transfer across two equal resources: a tie between resources
+	// that share their first member.
+	f.Add([]byte{1, 99, 0, 99, 0, 0, 0, 0, 40, 3})
+	// Two transfers on separate resources; the first to start finishes
+	// first, so its resource leaves the live set by a swap-remove that
+	// moves the other one.
+	f.Add([]byte{1, 99, 0, 99, 0, 1, 0, 0, 40, 1, 0, 0, 200, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeScript(data)
 		want := runScript(s, func(e *sim.Engine, caps []float64) flowDriver { return newOracleDriver(e, caps) })
 		got := runScript(s, func(e *sim.Engine, caps []float64) flowDriver { return newRealDriver(e, caps) })
-		compareExact(t, "incremental", got, want, s)
+		compareExact(t, "solver", got, want, s)
 	})
 }
 

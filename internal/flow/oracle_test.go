@@ -11,9 +11,12 @@ import (
 // every active transfer on every event (transfer start, finish, capacity
 // change), rebuilding each resource's flow list from the active set. The
 // shipping solver performs the same pass over persistent membership
-// lists. The differential fuzzer (FuzzReallocate) and BenchmarkReallocate
-// drive identical event sequences through this oracle and the real Net
-// and require bit-equal timestamps and loads.
+// lists, starting from the set of live resources instead of finding them
+// through every flow–resource link, and taking each flow's completion
+// ETA as it fixes the rate instead of in a second walk. The differential
+// fuzzer (FuzzReallocate) and BenchmarkReallocate drive identical event
+// sequences through this oracle and the real Net and require bit-equal
+// timestamps and loads.
 //
 // The code is the historical implementation verbatim apart from renames
 // (oracle* prefixes) and the removal of the stats the comparison does not
@@ -345,3 +348,4 @@ func (d *oracleDriver) setCapacity(idx int, c float64) { d.n.SetResourceCapacity
 func (d *oracleDriver) load(idx int) float64           { return d.rs[idx].Load() }
 func (d *oracleDriver) activeCount() int               { return d.n.Active() }
 func (d *oracleDriver) totals() (float64, int64)       { return d.n.TotalBytes, d.n.TotalTransfers }
+func (d *oracleDriver) check() error                   { return nil }

@@ -226,6 +226,46 @@ func TestReplayVerifyRejectsCorruptBeforeReplay(t *testing.T) {
 	}
 }
 
+// TestReplayVerifyRejectsBadWorkflowAmounts pins the workflow boundary
+// under replay: a log whose embedded workflow carries a negative file
+// size, runtime or peak memory fails ReplayVerify with the workflow's
+// error. It must neither panic inside the simulation (a negative size
+// reached the flow layer's argument check) nor verify clean (a negative
+// peak memory did).
+func TestReplayVerifyRejectsBadWorkflowAmounts(t *testing.T) {
+	t.Parallel()
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_montage_nfs-sync.wfevt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, old, new, want string }{
+		{"size", `"size":2000000`, `"size":-200000`, "negative size"},
+		{"runtime", `"runtime":5.5146538590456`, `"runtime":-5.514653859045`, "negative runtime"},
+		{"peak memory", `"peakMemory":160000000`, `"peakMemory":-60000000`, "negative peak memory"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := reframe(t, golden, 0, func(p []byte) []byte {
+				if !bytes.Contains(p, []byte(tc.old)) {
+					t.Fatalf("test premise broken: header has no %s", tc.old)
+				}
+				return bytes.Replace(p, []byte(tc.old), []byte(tc.new), 1)
+			})
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("ReplayVerify panicked: %v", r)
+					}
+				}()
+				_, _, err = ReplayVerify(data)
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReplayVerify = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestReplayVerifyPinpointsDivergence pins the decode-on-mismatch path:
 // a log whose event 10 carries another valid timestamp still decodes,
 // its replay differs, and the verdict names that event.

@@ -7,6 +7,7 @@ package workflow
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -120,8 +121,10 @@ func (w *Workflow) AddDependency(parent, child *Task) {
 }
 
 // Finalize derives the dependency graph and validates the workflow:
-// unique task IDs, single producer per file, acyclicity. It must be called
-// exactly once, after all tasks are added.
+// unique task IDs, finite non-negative runtimes, peak memory and file
+// sizes, single producer per file, acyclicity. Files are checked in name
+// order, so the same workflow always reports the same first error. It
+// must be called exactly once, after all tasks are added.
 func (w *Workflow) Finalize() error {
 	if w.finalized {
 		return fmt.Errorf("workflow %s: already finalized", w.Name)
@@ -135,8 +138,22 @@ func (w *Workflow) Finalize() error {
 			return fmt.Errorf("workflow %s: duplicate task ID %q", w.Name, t.ID)
 		}
 		ids[t.ID] = true
-		if t.Runtime < 0 {
-			return fmt.Errorf("workflow %s: task %s has negative runtime", w.Name, t.ID)
+		if bad := amountFault(t.Runtime); bad != "" {
+			return fmt.Errorf("workflow %s: task %s has %s runtime %g", w.Name, t.ID, bad, t.Runtime)
+		}
+		if bad := amountFault(t.PeakMemory); bad != "" {
+			return fmt.Errorf("workflow %s: task %s has %s peak memory %g", w.Name, t.ID, bad, t.PeakMemory)
+		}
+	}
+	names := make([]string, 0, len(w.files))
+	for name := range w.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f := w.files[name]
+		if bad := amountFault(f.Size); bad != "" {
+			return fmt.Errorf("workflow %s: file %q has %s size %g", w.Name, name, bad, f.Size)
 		}
 	}
 	// Producer/consumer maps.
@@ -172,11 +189,6 @@ func (w *Workflow) Finalize() error {
 		}
 	}
 	// Classify workflow-level inputs and outputs.
-	names := make([]string, 0, len(w.files))
-	for name := range w.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	for _, name := range names {
 		f := w.files[name]
 		if w.producers[f] == nil && len(w.consumers[f]) > 0 {
@@ -191,6 +203,20 @@ func (w *Workflow) Finalize() error {
 	}
 	w.finalized = true
 	return nil
+}
+
+// amountFault says why v cannot be a runtime, a peak memory or a file
+// size ("negative" or "non-finite"), or returns "" if it can. Zero is
+// valid. A bad figure stops here, at the workflow boundary, instead of
+// panicking inside the simulation that would consume it.
+func amountFault(v float64) string {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return "non-finite"
+	case v < 0:
+		return "negative"
+	}
+	return ""
 }
 
 // checkAcyclic verifies the DAG via Kahn's algorithm.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,61 @@ func TestWriteOnceViolationRejected(t *testing.T) {
 	w.AddTask(&Task{ID: "y", Outputs: []*File{f}})
 	if err := w.Finalize(); err == nil || !strings.Contains(err.Error(), "write-once") {
 		t.Errorf("Finalize = %v, want write-once error", err)
+	}
+}
+
+// TestFinalizeRejectsBadAmounts pins the workflow boundary: a negative
+// or non-finite runtime, peak memory or file size is an error from
+// Finalize, never a panic deeper in the simulation; zero is valid.
+func TestFinalizeRejectsBadAmounts(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		size, runtime, peakMem float64
+		want                   string // "" = valid
+	}{
+		{"zero everywhere", 0, 0, 0, ""},
+		{"negative size", -200000, 1, 1, `file "out" has negative size -200000`},
+		{"NaN size", math.NaN(), 1, 1, `file "out" has non-finite size NaN`},
+		{"infinite size", math.Inf(1), 1, 1, `file "out" has non-finite size +Inf`},
+		{"negative runtime", 1, -5.5, 1, "task x has negative runtime -5.5"},
+		{"NaN runtime", 1, math.NaN(), 1, "task x has non-finite runtime NaN"},
+		{"infinite runtime", 1, math.Inf(1), 1, "task x has non-finite runtime +Inf"},
+		{"negative peak memory", 1, 1, -6e7, "task x has negative peak memory -6e+07"},
+		{"NaN peak memory", 1, 1, math.NaN(), "task x has non-finite peak memory NaN"},
+		{"infinite peak memory", 1, 1, math.Inf(-1), "task x has non-finite peak memory -Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New("amounts")
+			w.AddTask(&Task{ID: "x", Runtime: tc.runtime, PeakMemory: tc.peakMem,
+				Inputs: []*File{w.File("in", 1)}, Outputs: []*File{w.File("out", tc.size)}})
+			err := w.Finalize()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Finalize = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Finalize = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFinalizeReportsFirstBadFileByName pins which of several bad files
+// Finalize reports: the first in name order, whatever the declaration
+// order, so the error does not depend on map iteration.
+func TestFinalizeReportsFirstBadFileByName(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		w := New("names")
+		for _, name := range []string{"zeta", "beta", "alpha-ok", "gamma"} {
+			size := -1.0
+			if name == "alpha-ok" {
+				size = 1
+			}
+			w.AddTask(&Task{ID: "t-" + name, Outputs: []*File{w.File(name, size)}})
+		}
+		err := w.Finalize()
+		if err == nil || !strings.Contains(err.Error(), `file "beta" has negative size`) {
+			t.Fatalf("Finalize = %v, want the error for file \"beta\"", err)
+		}
 	}
 }
 
