@@ -1,6 +1,6 @@
 // Package cluster models EC2 virtual clusters: instance types, nodes with
-// cores/memory/NIC/disk resources, and Nimbus-Context-Broker-style
-// provisioning (boot plus contextualization).
+// cores/memory/NIC/disk resources and a RAM page cache, and
+// Nimbus-Context-Broker-style provisioning (boot plus contextualization).
 //
 // The catalog encodes the three instance types the paper uses, with 2010
 // list prices and the paper's stated hardware: c1.xlarge workers (8 cores,
@@ -134,31 +134,32 @@ type Node struct {
 	NICIn  *flow.Resource
 	NICOut *flow.Resource
 	Disk   *disk.Disk
+	// Cache is the node's page cache. Every storage system that caches
+	// file data in this node's RAM uses it.
+	Cache *PageCache
 
 	BootDelay float64 // seconds from provision request to usable
 
 	// Outage state (correlated node failures): while down, the node's
 	// slots stop requesting jobs, in-flight attempts are killed, and
 	// storage traffic that needs this node blocks in WaitUp until
-	// recovery. The memory epoch counts outages so RAM-backed caches
-	// (page caches) can detect that their contents were lost; disk
-	// contents survive (the node comes back like a rebooted instance).
+	// recovery. Going down empties the page cache; disk contents survive
+	// (the node comes back like a rebooted instance).
 	down      bool
-	memEpoch  int64
 	upWaiters []*sim.Proc
 }
 
 // Down reports whether the node is currently offline.
 func (n *Node) Down() bool { return n.down }
 
-// SetDown takes the node offline. RAM contents are lost (the memory
-// epoch advances); disk contents survive. Idempotent while down.
+// SetDown takes the node offline. RAM contents are lost (the page cache
+// empties); disk contents survive. Idempotent while down.
 func (n *Node) SetDown() {
 	if n.down {
 		return
 	}
 	n.down = true
-	n.memEpoch++
+	n.Cache.Drop()
 }
 
 // SetUp brings the node back online, waking every process blocked in
@@ -186,10 +187,6 @@ func (n *Node) WaitUp(p *sim.Proc) {
 	}
 }
 
-// MemEpoch returns the node's memory epoch: it advances on every outage,
-// signalling RAM-backed caches that their contents are gone.
-func (n *Node) MemEpoch() int64 { return n.memEpoch }
-
 // MemoryMB converts a byte figure to the semaphore's MB units (ceiling).
 func MemoryMB(bytes float64) int {
 	mb := int(bytes / units.MB)
@@ -200,8 +197,9 @@ func MemoryMB(bytes float64) int {
 }
 
 // NewNode builds a node of the given type, registering its resources.
+// Its page cache starts empty, with the OS reserve held back.
 func NewNode(e *sim.Engine, net *flow.Net, name string, index int, t InstanceType) *Node {
-	return &Node{
+	n := &Node{
 		Name:   name,
 		Index:  index,
 		Type:   t,
@@ -210,6 +208,8 @@ func NewNode(e *sim.Engine, net *flow.Net, name string, index int, t InstanceTyp
 		NICOut: flow.NewResource(name+"/nic-out", t.NICBandwidth),
 		Disk:   disk.New(net, name+"/disk", t.DiskProfile),
 	}
+	n.Cache = NewPageCache(n, osReserve)
+	return n
 }
 
 // Config describes a virtual cluster to provision.

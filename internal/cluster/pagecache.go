@@ -1,14 +1,14 @@
-package storage
+package cluster
 
 import (
 	"container/list"
 
-	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/units"
 	"ec2wfsim/internal/workflow"
 )
 
-// osReserve is RAM the kernel and daemons keep away from the page cache.
+// osReserve is RAM the kernel and daemons keep away from a node's page
+// cache.
 const osReserve = 512 * units.MiB
 
 // PageCache models a node's Linux page cache over workflow files: reads
@@ -18,44 +18,46 @@ const osReserve = 512 * units.MiB
 // re-reads within a node are free on every file system), while Broadband's
 // multi-GB tasks squeeze the cache to nothing — which is exactly why the
 // paper finds that only S3's disk-backed client cache helps Broadband.
+//
+// Every node owns one (Node.Cache). Storage systems keep a client's reads
+// and writes in the client node's cache and the NFS server's files in the
+// server node's, and a node empties its cache when an outage takes it
+// down.
 type PageCache struct {
-	node    *cluster.Node
+	node    *Node
+	reserve float64
 	entries map[*workflow.File]*list.Element
 	lru     *list.List // front = most recently used
 	size    float64
-	// epoch mirrors the node's memory epoch: when an outage reboots the
-	// node, its RAM — and therefore this cache — is lost.
-	epoch int64
 
 	Hits   int64
 	Misses int64
 }
 
-// syncEpoch drops the cache when the node rebooted since the last
-// access (page caches live in RAM; outages erase them).
-func (c *PageCache) syncEpoch() {
-	if c.epoch == c.node.MemEpoch() {
-		return
-	}
-	c.epoch = c.node.MemEpoch()
-	c.entries = make(map[*workflow.File]*list.Element)
-	c.lru.Init()
-	c.size = 0
-}
-
-// NewPageCache returns an empty cache bound to node's memory.
-func NewPageCache(node *cluster.Node) *PageCache {
+// NewPageCache returns an empty cache over node's RAM, less reserve bytes
+// that the kernel and daemons keep for themselves.
+func NewPageCache(node *Node, reserve float64) *PageCache {
 	return &PageCache{
 		node:    node,
+		reserve: reserve,
 		entries: make(map[*workflow.File]*list.Element),
 		lru:     list.New(),
 	}
 }
 
+// Drop empties the cache, as a reboot loses the node's RAM. The hit and
+// miss counters survive. The entry map is replaced, not cleared, so the
+// memory it held is released.
+func (c *PageCache) Drop() {
+	c.entries = make(map[*workflow.File]*list.Element)
+	c.lru.Init()
+	c.size = 0
+}
+
 // Capacity returns the bytes currently available to the cache: total RAM
-// minus the OS reserve and the resident memory of running tasks.
+// minus the reserve and the resident memory of running tasks.
 func (c *PageCache) Capacity() float64 {
-	cap := c.node.Type.Memory - osReserve - float64(c.node.Memory.InUse())*units.MB
+	cap := c.node.Type.Memory - c.reserve - float64(c.node.Memory.InUse())*units.MB
 	if cap < 0 {
 		return 0
 	}
@@ -64,6 +66,13 @@ func (c *PageCache) Capacity() float64 {
 
 // Size returns the bytes currently cached.
 func (c *PageCache) Size() float64 { return c.size }
+
+// Contains reports whether f is cached, without counting a hit or miss
+// or refreshing recency.
+func (c *PageCache) Contains(f *workflow.File) bool {
+	_, ok := c.entries[f]
+	return ok
+}
 
 // trim evicts least-recently-used files until the cache fits the current
 // capacity (memory pressure from tasks evicts cached data, as in Linux).
@@ -85,7 +94,6 @@ func (c *PageCache) trim() {
 // refreshing recency. Memory pressure is applied first, so a file cached
 // before a large task started may have been evicted by it.
 func (c *PageCache) Lookup(f *workflow.File) bool {
-	c.syncEpoch()
 	c.trim()
 	if el, ok := c.entries[f]; ok {
 		c.lru.MoveToFront(el)
@@ -96,11 +104,11 @@ func (c *PageCache) Lookup(f *workflow.File) bool {
 	return false
 }
 
-// Insert adds f to the cache, evicting older entries to make room. Files
-// larger than the current capacity are not cached (they would evict
-// everything for nothing).
+// Insert adds f to the cache, evicting older entries to make room, or
+// refreshes its recency if it is already cached. Files larger than the
+// current capacity are not cached (they would evict everything for
+// nothing).
 func (c *PageCache) Insert(f *workflow.File) {
-	c.syncEpoch()
 	if _, ok := c.entries[f]; ok {
 		c.lru.MoveToFront(c.entries[f])
 		return

@@ -84,7 +84,6 @@ type Disk struct {
 	// Stats.
 	BytesRead    float64
 	BytesWritten float64
-	used         float64
 }
 
 // New creates a disk from a profile, registering its channels with the
@@ -111,9 +110,6 @@ func (d *Disk) WriteResource() *flow.Resource { return d.write }
 // Initialized reports whether the first-write penalty has been eliminated.
 func (d *Disk) Initialized() bool { return d.initialized }
 
-// Used returns the bytes written so far (capacity accounting).
-func (d *Disk) Used() float64 { return d.used }
-
 // Read performs a sequential read of size bytes, additionally constrained
 // by any extra resources (e.g. a NIC for remote reads).
 func (d *Disk) Read(p *sim.Proc, size float64, extra ...*flow.Resource) {
@@ -132,7 +128,6 @@ func (d *Disk) Write(p *sim.Proc, size float64, extra ...*flow.Resource) {
 		return
 	}
 	d.BytesWritten += size
-	d.used += size
 	d.scratch = append(append(d.scratch[:0], d.write), extra...)
 	d.net.Transfer(p, size, d.scratch...)
 }

@@ -165,6 +165,11 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// The result keeps its cluster for pricing. Empty the page caches so
+	// a finished run does not hold every file its nodes cached.
+	for _, n := range c.AllNodes() {
+		n.Cache.Drop()
+	}
 	st := sys.Stats()
 	return &RunResult{
 		Config:          cfg,

@@ -25,6 +25,36 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestRunEmptiesPageCaches: a result keeps its cluster for pricing, so
+// Run must empty every node's page cache before it returns, or each kept
+// result would hold every file its nodes cached. The cell fills both the
+// clients' caches and the NFS server's.
+func TestRunEmptiesPageCaches(t *testing.T) {
+	r, err := Run(RunConfig{App: "montage", Storage: "nfs", Workers: 2, Workflow: replayWorkflow(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.CacheHits == 0 || r.Stats.ServerCacheHits == 0 {
+		t.Fatalf("client/server cache hits = %d/%d: the cell never used its caches",
+			r.Stats.CacheHits, r.Stats.ServerCacheHits)
+	}
+	for _, n := range r.Cluster.AllNodes() {
+		if size := n.Cache.Size(); size != 0 {
+			t.Errorf("%s still caches %g bytes after the run", n.Name, size)
+		}
+	}
+}
+
+// RunCached is the single-cell form of Sweep: like Run, but hitting (and
+// filling) the process-wide cell cache.
+func RunCached(cfg RunConfig) (*RunResult, error) {
+	rs, err := Sweep([]RunConfig{cfg}, SweepOptions{Parallel: 1})
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 // TestProvisionFollowsReplicateSeed pins the cluster's boot-delay stream
 // to the replicate seed: two replicates of one cell provision in
 // different times (provision_s), and rerunning a replicate reproduces

@@ -198,16 +198,6 @@ func Sweep(cfgs []RunConfig, opt SweepOptions) ([]*RunResult, error) {
 	return out, nil
 }
 
-// RunCached is the single-cell form of Sweep: like Run, but hitting (and
-// filling) the process-wide cell cache.
-func RunCached(cfg RunConfig) (*RunResult, error) {
-	rs, err := Sweep([]RunConfig{cfg}, SweepOptions{Parallel: 1})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // Replicated aggregates one cell's multi-seed replicates: mean, sample
 // stddev and range for the headline metrics, plus the individual runs.
 type Replicated struct {

@@ -4,6 +4,24 @@ import (
 	"testing"
 )
 
+// Windows returns every window of one node's stream that starts before
+// horizon. It is the pure-function view of the stream, used by tests and
+// fuzzing to check the no-overlap and determinism invariants.
+func (s *Schedule) Windows(index int, horizon float64) []Window {
+	if s.cfg.Rate <= 0 {
+		return nil
+	}
+	st := s.Node(index)
+	var out []Window
+	for {
+		w := st.Next()
+		if w.Start >= horizon {
+			return out
+		}
+		out = append(out, w)
+	}
+}
+
 func TestScheduleDeterministic(t *testing.T) {
 	t.Parallel()
 	s, err := New(Config{Rate: 2, Duration: 120, Seed: 42})

@@ -211,17 +211,6 @@ func (t *ReTimer) Stop() {
 	}
 }
 
-// Pending reports the number of live (non-cancelled) events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if ev.fn != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // step pops and runs the next event. It reports false when the queue is
 // empty.
 func (e *Engine) step() bool {

@@ -53,6 +53,17 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.At(5, func() {})
 }
 
+// Pending reports the number of live (non-cancelled) events in the queue.
+func (e *Engine) Pending() int {
+	n := 0
+	for _, ev := range e.events {
+		if ev.fn != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTimerStop(t *testing.T) {
 	e := NewEngine()
 	fired := false

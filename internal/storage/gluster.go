@@ -34,10 +34,9 @@ const (
 type Gluster struct {
 	Mode GlusterMode
 
-	env    *Env
-	loc    map[*workflow.File]*cluster.Node
-	caches map[*cluster.Node]*PageCache
-	stats  Stats
+	env   *Env
+	loc   map[*workflow.File]*cluster.Node
+	stats Stats
 }
 
 // NewGluster returns a GlusterFS system in the given mode.
@@ -65,10 +64,6 @@ func (g *Gluster) Init(env *Env) error {
 	}
 	g.env = env
 	g.loc = make(map[*workflow.File]*cluster.Node)
-	g.caches = make(map[*cluster.Node]*PageCache, len(env.Workers))
-	for _, w := range env.Workers {
-		g.caches[w] = NewPageCache(w)
-	}
 	return nil
 }
 
@@ -100,7 +95,7 @@ func (g *Gluster) lookupLatency() float64 {
 func (g *Gluster) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	g.stats.Reads++
 	p.Sleep(g.lookupLatency())
-	if g.caches[node].Lookup(f) {
+	if node.Cache.Lookup(f) {
 		g.stats.CacheHits++
 		return
 	}
@@ -113,7 +108,7 @@ func (g *Gluster) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		g.stats.NetworkBytes += f.Size
 	}
 	readRemote(p, owner, node, f.Size)
-	g.caches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Write implements System.
@@ -129,7 +124,7 @@ func (g *Gluster) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	}
 	writeRemote(p, node, owner, f.Size)
 	g.loc[f] = owner
-	g.caches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Stats implements System.

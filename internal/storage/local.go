@@ -15,9 +15,6 @@ const localOpLatency = 0.0002
 // Local is the single-node baseline: all files live on the node's RAID0
 // ephemeral volume. The paper reports it as a single point in each figure.
 type Local struct {
-	env   *Env
-	node  *cluster.Node
-	cache *PageCache
 	stats Stats
 }
 
@@ -42,9 +39,6 @@ func (l *Local) Init(env *Env) error {
 	if len(env.Workers) != 1 {
 		return fmt.Errorf("storage: local disk cannot share files across %d nodes", len(env.Workers))
 	}
-	l.env = env
-	l.node = env.Workers[0]
-	l.cache = NewPageCache(l.node)
 	return nil
 }
 
@@ -55,13 +49,13 @@ func (l *Local) PreStage(files []*workflow.File) {}
 func (l *Local) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	l.stats.Reads++
 	p.Sleep(localOpLatency)
-	if l.cache.Lookup(f) {
+	if node.Cache.Lookup(f) {
 		l.stats.CacheHits++
 		return
 	}
 	l.stats.CacheMisses++
 	node.Disk.Read(p, f.Size)
-	l.cache.Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Write implements System.
@@ -69,7 +63,7 @@ func (l *Local) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	l.stats.Writes++
 	p.Sleep(localOpLatency)
 	node.Disk.Write(p, f.Size)
-	l.cache.Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Stats implements System.

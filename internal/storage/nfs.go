@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"container/list"
-
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/flow"
 	"ec2wfsim/internal/sim"
@@ -25,6 +23,9 @@ const (
 	// most surprising data point — Broadband on NFS getting *slower*
 	// from 2 to 4 nodes, "consistent across repeated experiments".
 	nfsIncast = 0.30
+	// nfsServerReserve is the server RAM its kernel and NFS daemons keep
+	// away from the page cache.
+	nfsServerReserve = 1 * units.GiB
 )
 
 // NFS models a dedicated central file server. Every read and write crosses
@@ -41,17 +42,11 @@ type NFS struct {
 	// label distinguishes variants in reports.
 	label string
 
-	env          *Env
-	server       *cluster.Node
-	srvIn        *flow.Resource // server ingest path (incast-degraded)
-	srvOut       *flow.Resource // server egress path (incast-degraded)
-	clientCaches map[*cluster.Node]*PageCache
+	env    *Env
+	server *cluster.Node
+	srvIn  *flow.Resource // server ingest path (incast-degraded)
+	srvOut *flow.Resource // server egress path (incast-degraded)
 
-	// Server page cache: LRU over whole files.
-	serverCache   map[*workflow.File]*list.Element
-	serverLRU     *list.List
-	serverSize    float64
-	serverCap     float64
 	dirty         float64
 	dirtyLimit    float64
 	flusherNotify *sim.Mailbox[struct{}]
@@ -97,13 +92,7 @@ func (n *NFS) Init(env *Env) error {
 	eff := n.server.Type.NICBandwidth / (1 + nfsIncast*float64(len(env.Workers)-1))
 	n.srvIn = flow.NewResource("nfs-srv-in", eff)
 	n.srvOut = flow.NewResource("nfs-srv-out", eff)
-	n.clientCaches = make(map[*cluster.Node]*PageCache, len(env.Workers))
-	for _, w := range env.Workers {
-		n.clientCaches[w] = NewPageCache(w)
-	}
-	n.serverCache = make(map[*workflow.File]*list.Element)
-	n.serverLRU = list.New()
-	n.serverCap = n.server.Type.Memory - 1*units.GiB
+	n.server.Cache = cluster.NewPageCache(n.server, nfsServerReserve)
 	n.dirtyLimit = 0.4 * n.server.Type.Memory
 	n.flusherNotify = sim.NewMailbox[struct{}](env.E)
 	env.E.GoDaemon("nfs-flusher", n.flusher)
@@ -130,33 +119,12 @@ func (n *NFS) flusher(p *sim.Proc) {
 	}
 }
 
-// serverLookup checks the server page cache, refreshing recency.
-func (n *NFS) serverLookup(f *workflow.File) bool {
-	if el, ok := n.serverCache[f]; ok {
-		n.serverLRU.MoveToFront(el)
-		n.stats.ServerCacheHits++
-		return true
-	}
-	n.stats.ServerCacheMisses++
-	return false
-}
-
-// serverInsert caches f on the server, evicting LRU files beyond capacity.
+// serverInsert caches f in the server's page cache. Rewriting a file the
+// server already caches leaves its LRU position where it was: only reads
+// refresh recency on the server.
 func (n *NFS) serverInsert(f *workflow.File) {
-	if _, ok := n.serverCache[f]; ok {
-		return
-	}
-	if f.Size > n.serverCap {
-		return
-	}
-	n.serverSize += f.Size
-	n.serverCache[f] = n.serverLRU.PushFront(f)
-	for n.serverSize > n.serverCap {
-		back := n.serverLRU.Back()
-		old := back.Value.(*workflow.File)
-		n.serverLRU.Remove(back)
-		delete(n.serverCache, old)
-		n.serverSize -= old.Size
+	if !n.server.Cache.Contains(f) {
+		n.server.Cache.Insert(f)
 	}
 }
 
@@ -172,7 +140,7 @@ func (n *NFS) PreStage(files []*workflow.File) {
 func (n *NFS) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	n.stats.Reads++
 	p.Sleep(nfsRPCLatency)
-	if n.clientCaches[node].Lookup(f) {
+	if node.Cache.Lookup(f) {
 		n.stats.CacheHits++
 		n.env.recordCache(p, true, "client", node, f)
 		return
@@ -180,16 +148,18 @@ func (n *NFS) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	n.stats.CacheMisses++
 	n.env.recordCache(p, false, "client", node, f)
 	n.stats.NetworkBytes += f.Size
-	if hit := n.serverLookup(f); hit {
+	if n.server.Cache.Lookup(f) {
 		// Served from server memory: network path only.
+		n.stats.ServerCacheHits++
 		n.env.recordCache(p, true, "server", node, f)
 		n.env.Net.Transfer(p, f.Size, n.srvOut, node.NICIn)
 	} else {
+		n.stats.ServerCacheMisses++
 		n.env.recordCache(p, false, "server", node, f)
 		n.server.Disk.Read(p, f.Size, n.srvOut, node.NICIn)
 		n.serverInsert(f)
 	}
-	n.clientCaches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Write implements System.
@@ -214,7 +184,7 @@ func (n *NFS) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		}
 	}
 	n.serverInsert(f)
-	n.clientCaches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Stats implements System.

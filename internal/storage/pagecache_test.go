@@ -13,14 +13,15 @@ import (
 	"ec2wfsim/internal/workflow"
 )
 
-func newCache(t testing.TB) (*PageCache, *cluster.Node) {
+// newCache returns the page cache of a fresh c1.xlarge node.
+func newCache(t testing.TB) (*cluster.PageCache, *cluster.Node) {
 	e := sim.NewEngine()
 	net := flow.NewNet(e)
 	c, err := cluster.New(e, net, rng.New(7), cluster.Config{Workers: 1, WorkerType: cluster.C1XLarge()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPageCache(c.Workers[0]), c.Workers[0]
+	return c.Workers[0].Cache, c.Workers[0]
 }
 
 func TestPageCacheLRUEviction(t *testing.T) {
@@ -165,5 +166,28 @@ func TestNFSPreStageWarmsServerCache(t *testing.T) {
 	if st.ServerCacheHits != 1 || st.ServerCacheMisses != 0 {
 		t.Errorf("server cache hits/misses = %d/%d, want 1/0 after pre-staging",
 			st.ServerCacheHits, st.ServerCacheMisses)
+	}
+}
+
+// TestNFSServerRewriteKeepsRecency: rewriting a file the server already
+// caches leaves its LRU position alone; only reads refresh recency on
+// the server. The m1.xlarge server caches 16 GiB - 1 GiB (about 16.1 GB).
+// a and b are pre-staged in that order, so a is least recently used;
+// rewriting a must not save it from the eviction that writing c forces.
+func TestNFSServerRewriteKeepsRecency(t *testing.T) {
+	r := newRig(t, NewNFS(), 1)
+	node := r.c.Workers[0]
+	a, b, c := wf("a", 7*units.GB), wf("b", 7*units.GB), wf("c", 3*units.GB)
+	r.sys.PreStage([]*workflow.File{a, b})
+	r.e.Go("writer", func(p *sim.Proc) {
+		r.sys.Write(p, node, a)
+		r.sys.Write(p, node, c)
+		// 7 GB does not fit the worker's page cache, so this read goes
+		// to the server.
+		r.sys.Read(p, node, a)
+	})
+	r.e.Run()
+	if misses := r.sys.Stats().ServerCacheMisses; misses != 1 {
+		t.Errorf("server cache misses = %d, want 1: the rewrite of a refreshed its recency", misses)
 	}
 }

@@ -38,7 +38,6 @@ type S3 struct {
 	service    *flow.Resource
 	objects    map[*workflow.File]bool                   // objects stored in S3
 	nodeCached map[*cluster.Node]map[*workflow.File]bool // whole-file disk caches
-	pageCaches map[*cluster.Node]*PageCache
 	stats      Stats
 }
 
@@ -66,10 +65,8 @@ func (s *S3) Init(env *Env) error {
 	s.service = flow.NewResource("s3-service", s3AggregateRate)
 	s.objects = make(map[*workflow.File]bool)
 	s.nodeCached = make(map[*cluster.Node]map[*workflow.File]bool, len(env.Workers))
-	s.pageCaches = make(map[*cluster.Node]*PageCache, len(env.Workers))
 	for _, w := range env.Workers {
 		s.nodeCached[w] = make(map[*workflow.File]bool)
-		s.pageCaches[w] = NewPageCache(w)
 	}
 	return nil
 }
@@ -97,7 +94,7 @@ func (s *S3) get(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	conn := s.env.Net.AcquireCap("s3-conn", s3PerConnRate)
 	node.Disk.Write(p, f.Size, conn, s.service, node.NICIn)
 	s.env.Net.ReleaseCap(conn)
-	s.pageCaches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // put uploads f from node's local disk to S3.
@@ -107,7 +104,7 @@ func (s *S3) put(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	s.stats.NetworkBytes += f.Size
 	p.Sleep(s3PutLatency)
 	conn := s.env.Net.AcquireCap("s3-conn", s3PerConnRate)
-	if s.pageCaches[node].Lookup(f) {
+	if node.Cache.Lookup(f) {
 		// Freshly written data is still in the page cache: upload
 		// straight from memory.
 		s.env.Net.Transfer(p, f.Size, conn, s.service, node.NICOut)
@@ -134,11 +131,11 @@ func (s *S3) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		}
 	}
 	// Local read of the staged copy (second of the paper's "read twice").
-	if s.pageCaches[node].Lookup(f) {
+	if node.Cache.Lookup(f) {
 		return
 	}
 	node.Disk.Read(p, f.Size)
-	s.pageCaches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Write implements System: the job writes to local disk, then the wrapper
@@ -147,7 +144,7 @@ func (s *S3) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 func (s *S3) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	s.stats.Writes++
 	node.Disk.Write(p, f.Size)
-	s.pageCaches[node].Insert(f)
+	node.Cache.Insert(f)
 	s.put(p, node, f)
 	if s.CacheEnabled {
 		s.nodeCached[node][f] = true

@@ -10,7 +10,9 @@
 // dedicated file-server node, or an S3 service), so contention between
 // concurrent tasks — the effect the paper is actually measuring — emerges
 // from the max-min fair flow network rather than from closed-form
-// formulas.
+// formulas. A system that caches file data in a node's RAM — a client's
+// reads and writes, or the NFS server's file cache — uses that node's
+// own page cache (cluster.Node.Cache), which an outage empties.
 package storage
 
 import (

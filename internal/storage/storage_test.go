@@ -189,7 +189,7 @@ func TestPageCacheMemoryPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := c.Workers[0]
-	pc := NewPageCache(node)
+	pc := node.Cache
 	big := wf("velocity-model", 2*units.GB)
 	pc.Insert(big)
 	if !pc.Lookup(big) {
@@ -208,7 +208,7 @@ func TestPageCacheSkipsOversizedFiles(t *testing.T) {
 	e := sim.NewEngine()
 	net := flow.NewNet(e)
 	c, _ := cluster.New(e, net, rng.New(7), cluster.Config{Workers: 1, WorkerType: cluster.C1XLarge()})
-	pc := NewPageCache(c.Workers[0])
+	pc := c.Workers[0].Cache
 	huge := wf("huge", 100*units.GB)
 	pc.Insert(huge)
 	if pc.Size() != 0 {

@@ -24,8 +24,6 @@ const (
 type XtreemFS struct {
 	env     *Env
 	service *flow.Resource
-	caches  map[*cluster.Node]*PageCache
-	staged  map[*workflow.File]bool
 	stats   Stats
 }
 
@@ -49,26 +47,17 @@ func (x *XtreemFS) Init(env *Env) error {
 	}
 	x.env = env
 	x.service = flow.NewResource("xtreemfs-service", xtreemServiceRate)
-	x.caches = make(map[*cluster.Node]*PageCache, len(env.Workers))
-	for _, w := range env.Workers {
-		x.caches[w] = NewPageCache(w)
-	}
-	x.staged = make(map[*workflow.File]bool)
 	return nil
 }
 
-// PreStage implements System.
-func (x *XtreemFS) PreStage(files []*workflow.File) {
-	for _, f := range files {
-		x.staged[f] = true
-	}
-}
+// PreStage implements System: inputs already sit on the OSDs.
+func (x *XtreemFS) PreStage(files []*workflow.File) {}
 
 // Read implements System.
 func (x *XtreemFS) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	x.stats.Reads++
 	p.Sleep(xtreemOpLatency)
-	if x.caches[node].Lookup(f) {
+	if node.Cache.Lookup(f) {
 		x.stats.CacheHits++
 		return
 	}
@@ -77,7 +66,7 @@ func (x *XtreemFS) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	conn := x.env.Net.AcquireCap("xtreemfs-conn", xtreemPerConnRate)
 	x.env.Net.Transfer(p, f.Size, conn, x.service, node.NICIn)
 	x.env.Net.ReleaseCap(conn)
-	x.caches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Write implements System.
@@ -88,8 +77,7 @@ func (x *XtreemFS) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	conn := x.env.Net.AcquireCap("xtreemfs-conn", xtreemPerConnRate)
 	x.env.Net.Transfer(p, f.Size, conn, x.service, node.NICOut)
 	x.env.Net.ReleaseCap(conn)
-	x.staged[f] = true
-	x.caches[node].Insert(f)
+	node.Cache.Insert(f)
 }
 
 // Stats implements System.

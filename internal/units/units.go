@@ -35,9 +35,6 @@ const (
 // second, the unit used by all resource capacities.
 func MBps(v float64) float64 { return v * MB }
 
-// GBps converts gigabytes per second to bytes per second.
-func GBps(v float64) float64 { return v * GB }
-
 // Bytes formats a byte count using the largest SI unit that keeps the
 // mantissa >= 1, e.g. "4.20 GB".
 func Bytes(v float64) string {

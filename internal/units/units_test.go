@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// GBps converts gigabytes per second to bytes per second.
+func GBps(v float64) float64 { return v * GB }
+
 func TestByteFormatting(t *testing.T) {
 	cases := []struct {
 		v    float64

@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"math"
 	"testing"
 
 	"ec2wfsim/internal/units"
@@ -110,11 +111,26 @@ func TestMaxRetriesBoundsAttempts(t *testing.T) {
 	}
 }
 
+// TestCertainFailureRejected: failure knobs that leave no chance of
+// progress, or that would silently switch injection off, fail before the
+// run starts.
 func TestCertainFailureRejected(t *testing.T) {
-	e, c, sys := deploy(t, "local", 1)
 	w := fanWorkflow(t, 1, 1, 0)
-	if _, err := Run(e, Options{Cluster: c, Storage: sys, FailureRate: 1.0}, w); err == nil {
-		t.Error("FailureRate = 1.0 should be rejected")
+	for _, tc := range []struct {
+		name    string
+		rate    float64
+		retries int
+	}{
+		{"certain failure", 1.0, 0},
+		{"negative rate", -0.1, 0},
+		{"NaN rate", math.NaN(), 0},
+		{"negative retries", 0.1, -1},
+	} {
+		e, c, sys := deploy(t, "local", 1)
+		opts := Options{Cluster: c, Storage: sys, FailureRate: tc.rate, MaxRetries: tc.retries}
+		if _, err := Run(e, opts, w); err == nil {
+			t.Errorf("%s: FailureRate %g with MaxRetries %d accepted", tc.name, tc.rate, tc.retries)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"math"
 	"testing"
 
 	"ec2wfsim/internal/units"
@@ -154,13 +155,20 @@ func TestCheckpointOverheadWithoutFailures(t *testing.T) {
 
 // TestOutageValidation pins option validation at the Run boundary.
 func TestOutageValidation(t *testing.T) {
-	e, c, sys := deploy(t, "local", 1)
 	w := chainWorkflow(t, 1, 1)
-	if _, err := Run(e, Options{Cluster: c, Storage: sys, OutageRate: -1}, w); err == nil {
-		t.Error("negative outage rate accepted")
-	}
-	e2, c2, sys2 := deploy(t, "local", 1)
-	if _, err := Run(e2, Options{Cluster: c2, Storage: sys2, CheckpointInterval: -5}, w); err == nil {
-		t.Error("negative checkpoint interval accepted")
+	for _, tc := range []struct {
+		name           string
+		rate, interval float64
+	}{
+		{"negative outage rate", -1, 0},
+		{"NaN outage rate", math.NaN(), 0},
+		{"negative checkpoint interval", 0, -5},
+		{"NaN checkpoint interval", 0, math.NaN()},
+	} {
+		e, c, sys := deploy(t, "local", 1)
+		opts := Options{Cluster: c, Storage: sys, OutageRate: tc.rate, CheckpointInterval: tc.interval}
+		if _, err := Run(e, opts, w); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -64,7 +64,8 @@ type Options struct {
 	// disables injection.
 	FailureRate float64
 	// MaxRetries bounds re-executions per task when FailureRate > 0
-	// (DAGMan's RETRY). Zero means the DAGMan default of 3.
+	// (DAGMan's RETRY). Zero means the DAGMan default of 3; it must not
+	// be negative when failures are injected, and is ignored otherwise.
 	MaxRetries int
 	// FailureSeed makes injection deterministic; zero uses a fixed seed.
 	FailureSeed uint64
@@ -176,11 +177,22 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 	if opts.Cluster == nil || opts.Storage == nil {
 		return nil, fmt.Errorf("wms: options need both a cluster and a storage system")
 	}
-	if opts.CheckpointInterval < 0 {
-		return nil, fmt.Errorf("wms: negative checkpoint interval %g", opts.CheckpointInterval)
+	// The knobs are negated comparisons so NaN fails them too: a NaN
+	// rate or interval would otherwise switch its feature off silently.
+	if !(opts.CheckpointInterval >= 0) {
+		return nil, fmt.Errorf("wms: checkpoint interval %g is not a non-negative number", opts.CheckpointInterval)
 	}
-	if opts.OutageRate < 0 {
-		return nil, fmt.Errorf("wms: negative outage rate %g", opts.OutageRate)
+	if !(opts.OutageRate >= 0) {
+		return nil, fmt.Errorf("wms: outage rate %g is not a non-negative number", opts.OutageRate)
+	}
+	if !(opts.FailureRate >= 0) {
+		return nil, fmt.Errorf("wms: failure rate %g is not a non-negative number", opts.FailureRate)
+	}
+	if opts.FailureRate >= 1 {
+		return nil, fmt.Errorf("wms: failure rate %g leaves no chance of progress", opts.FailureRate)
+	}
+	if opts.FailureRate > 0 && opts.MaxRetries < 0 {
+		return nil, fmt.Errorf("wms: negative retry bound %d", opts.MaxRetries)
 	}
 	// Check every task can ever run: memory demand must fit some node.
 	for _, t := range w.Tasks {
@@ -212,9 +224,6 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		run.tries = make(map[*workflow.Task]int, len(w.Tasks))
 	}
 	if opts.FailureRate > 0 {
-		if opts.FailureRate >= 1 {
-			return nil, fmt.Errorf("wms: failure rate %g leaves no chance of progress", opts.FailureRate)
-		}
 		seed := opts.FailureSeed
 		if seed == 0 {
 			seed = DefaultFailureSeed

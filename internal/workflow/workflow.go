@@ -46,32 +46,12 @@ func (t *Task) Parents() []*Task { return t.parents }
 // Children returns the tasks that depend on this task.
 func (t *Task) Children() []*Task { return t.children }
 
-// TotalInputBytes sums the task's input file sizes.
-func (t *Task) TotalInputBytes() float64 {
-	s := 0.0
-	for _, f := range t.Inputs {
-		s += f.Size
-	}
-	return s
-}
-
-// TotalOutputBytes sums the task's output file sizes.
-func (t *Task) TotalOutputBytes() float64 {
-	s := 0.0
-	for _, f := range t.Outputs {
-		s += f.Size
-	}
-	return s
-}
-
 // Workflow is a finalized DAG.
 type Workflow struct {
 	Name  string
 	Tasks []*Task
 
 	files     map[string]*File
-	producers map[*File]*Task
-	consumers map[*File][]*Task
 	inputs    []*File // files consumed but never produced (pre-staged)
 	outputs   []*File // files produced but never consumed (final results)
 	extraDeps map[*Task][]*Task
@@ -83,8 +63,6 @@ func New(name string) *Workflow {
 	return &Workflow{
 		Name:      name,
 		files:     make(map[string]*File),
-		producers: make(map[*File]*Task),
-		consumers: make(map[*File][]*Task),
 		extraDeps: make(map[*Task][]*Task),
 	}
 }
@@ -156,19 +134,21 @@ func (w *Workflow) Finalize() error {
 			return fmt.Errorf("workflow %s: file %q has %s size %g", w.Name, name, bad, f.Size)
 		}
 	}
-	// Producer/consumer maps.
+	// Producer/consumer maps, needed only to derive the graph.
+	producers := make(map[*File]*Task)
+	consumers := make(map[*File]int)
 	for _, t := range w.Tasks {
 		for _, f := range t.Outputs {
-			if prev, ok := w.producers[f]; ok {
+			if prev, ok := producers[f]; ok {
 				return fmt.Errorf("workflow %s: file %q produced by both %s and %s (write-once violated)",
 					w.Name, f.Name, prev.ID, t.ID)
 			}
-			w.producers[f] = t
+			producers[f] = t
 		}
 	}
 	for _, t := range w.Tasks {
 		for _, f := range t.Inputs {
-			w.consumers[f] = append(w.consumers[f], t)
+			consumers[f]++
 		}
 	}
 	// Derive edges.
@@ -182,7 +162,7 @@ func (w *Workflow) Finalize() error {
 			}
 		}
 		for _, f := range t.Inputs {
-			addParent(w.producers[f])
+			addParent(producers[f])
 		}
 		for _, p := range w.extraDeps[t] {
 			addParent(p)
@@ -191,10 +171,10 @@ func (w *Workflow) Finalize() error {
 	// Classify workflow-level inputs and outputs.
 	for _, name := range names {
 		f := w.files[name]
-		if w.producers[f] == nil && len(w.consumers[f]) > 0 {
+		if producers[f] == nil && consumers[f] > 0 {
 			w.inputs = append(w.inputs, f)
 		}
-		if w.producers[f] != nil && (len(w.consumers[f]) == 0 || f.Keep) {
+		if producers[f] != nil && (consumers[f] == 0 || f.Keep) {
 			w.outputs = append(w.outputs, f)
 		}
 	}
@@ -253,12 +233,6 @@ func (w *Workflow) checkAcyclic() error {
 // Finalized reports whether Finalize has completed successfully.
 func (w *Workflow) Finalized() bool { return w.finalized }
 
-// Producer returns the task producing f, or nil for pre-staged inputs.
-func (w *Workflow) Producer(f *File) *Task { return w.producers[f] }
-
-// Consumers returns the tasks reading f.
-func (w *Workflow) Consumers(f *File) []*Task { return w.consumers[f] }
-
 // Inputs returns the pre-staged input files in name order.
 func (w *Workflow) Inputs() []*File { return w.inputs }
 
@@ -278,17 +252,6 @@ func (w *Workflow) Files() []*File {
 		fs[i] = w.files[name]
 	}
 	return fs
-}
-
-// Roots returns tasks with no parents.
-func (w *Workflow) Roots() []*Task {
-	var rs []*Task
-	for _, t := range w.Tasks {
-		if len(t.parents) == 0 {
-			rs = append(rs, t)
-		}
-	}
-	return rs
 }
 
 // TopoOrder returns the tasks in a deterministic topological order

@@ -36,6 +36,17 @@ func diamond(t *testing.T) *Workflow {
 	return w
 }
 
+// Roots returns tasks with no parents.
+func (w *Workflow) Roots() []*Task {
+	var rs []*Task
+	for _, t := range w.Tasks {
+		if len(t.parents) == 0 {
+			rs = append(rs, t)
+		}
+	}
+	return rs
+}
+
 func TestDiamondDependencies(t *testing.T) {
 	w := diamond(t)
 	byID := map[string]*Task{}
