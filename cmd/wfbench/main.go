@@ -89,6 +89,9 @@ func main() {
 }
 
 func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, table1, diskTable bool, ablation, csvPath, jsonPath string, seeds int, progress bool) error {
+	if err := spec.Faults.Validate(); err != nil {
+		return err
+	}
 	opt := harness.SweepOptions{Seeds: seeds}
 	if progress {
 		opt.Progress = printProgress
@@ -133,9 +136,6 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	}
 	if (spec.MaxRetries != 0 || spec.FailureSeed != 0) && !failureStudy {
 		return fmt.Errorf("-max-retries and -failure-seed apply to the failure study; add -failure-rate or -ablation failures")
-	}
-	if spec.OutageRate < 0 || spec.OutageDuration < 0 || spec.CheckpointInterval < 0 {
-		return fmt.Errorf("-outage-rate, -outage-duration and -checkpoint-interval must be non-negative")
 	}
 	if (spec.OutageDuration != 0 || spec.OutageSeed != 0 || spec.CheckpointInterval != 0) && !outageStudy {
 		return fmt.Errorf("-outage-duration, -outage-seed and -checkpoint-interval apply to the outage study; add -outage-rate or -ablation outages")

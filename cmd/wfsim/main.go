@@ -31,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/harness"
 	"ec2wfsim/internal/resultcache"
 	"ec2wfsim/internal/scenario"
@@ -147,7 +146,7 @@ func run(spec *scenario.Spec, specPath, emitSpec, cacheDir string, seeds, parall
 		fmt.Println()
 		fmt.Print(tr.Gantt(100))
 		fmt.Println()
-		fmt.Print(tr.Summary(cluster.C1XLarge().Cores))
+		fmt.Print(tr.Summary(res.Cluster.Workers[0].Type.Cores))
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)

@@ -382,13 +382,7 @@ func ParseSpec(data []byte) (Experiment, error) {
 			s.AppSeed = base.AppSeed
 			s.InitializeDisks = base.InitializeDisks
 			s.InitializeBytes = base.InitializeBytes
-			s.FailureRate = base.FailureRate
-			s.MaxRetries = base.MaxRetries
-			s.FailureSeed = base.FailureSeed
-			s.OutageRate = base.OutageRate
-			s.OutageDuration = base.OutageDuration
-			s.OutageSeed = base.OutageSeed
-			s.CheckpointInterval = base.CheckpointInterval
+			s.Faults = base.Faults
 		}}},
 		Axes:  axes,
 		Seeds: se.Seeds,

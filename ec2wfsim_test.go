@@ -3,11 +3,13 @@ package ec2wfsim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/scenario"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -164,6 +166,28 @@ func TestFacadeTypedUnknownNameErrors(t *testing.T) {
 			t.Errorf("typed error for %+v lists no valid names", cfg)
 		}
 	}
+}
+
+// TestFacadeRejectsBadFaultKnobs: a NaN outage duration fails with the
+// typed error at every facade entry point, before any cell runs (it
+// used to stall the simulated clock) or the JSON encoder sees it.
+func TestFacadeRejectsBadFaultKnobs(t *testing.T) {
+	cfg := Config{Application: "epigenome", Storage: "nfs", Workers: 2}
+	bad := WithOutages(1, math.NaN())
+	check := func(call string, err error) {
+		t.Helper()
+		var fe *wms.FaultError
+		if !errors.As(err, &fe) || fe.Field != "outage_duration" {
+			t.Errorf("%s err = %v, want a *wms.FaultError for outage_duration", call, err)
+		}
+	}
+	_, err := Run(cfg, bad)
+	check("Run", err)
+	e := Experiment{Base: cfg, Options: []Option{bad}}
+	_, err = e.MarshalSpec()
+	check("MarshalSpec", err)
+	_, err = Sweep(context.Background(), e, SweepOptions{})
+	check("Sweep", err)
 }
 
 func TestFacadeSweepStreams(t *testing.T) {

@@ -96,7 +96,7 @@ func checkSeedFieldAssign(pass *Pass, st *ast.AssignStmt, guards []guardRange) {
 }
 
 // checkSeedFieldLit flags non-zero constant seeds planted in composite
-// literals (`wms.Options{FailureSeed: 0x1234}`). An explicit zero is the
+// literals (`wms.Faults{FailureSeed: 0x1234}`). An explicit zero is the
 // "use the default" convention and stays silent.
 func checkSeedFieldLit(pass *Pass, lit *ast.CompositeLit) {
 	for _, el := range lit.Elts {

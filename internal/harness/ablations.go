@@ -19,8 +19,8 @@ type AblationResult struct {
 	Result *RunResult
 }
 
-// Ablation runs one named ablation experiment: a key of ablations, or one
-// of the studies AblationSweep dispatches by name.
+// Ablation runs one named ablation experiment: a key of ablations or of
+// studies.
 func Ablation(name string) ([]AblationResult, string, error) {
 	return AblationSweep(name, SweepOptions{})
 }
@@ -28,65 +28,12 @@ func Ablation(name string) ([]AblationResult, string, error) {
 // AblationSweep is Ablation with explicit sweep options. Each ablation's
 // cells dispatch through the sweep engine as one concurrent batch, and
 // cells shared with the figure grids (most ablations reuse grid
-// configurations) come from the process-wide cache.
+// configurations) come from the process-wide cache. A study returns
+// its rendering alone.
 func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, error) {
-	if name == "failures" {
-		// The failure-sensitivity study has its own matrix (rates) and
-		// renderer (baseline-paired inflation, delta charts); it honours
-		// opt.Seeds where the fixed-cell ablations are single-seed.
-		cells, out, err := FailureStudy(FailureStudyOptions{Sweep: opt})
-		if err != nil {
-			return nil, "", err
-		}
-		results := make([]AblationResult, len(cells))
-		for i, c := range cells {
-			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s r=%g", c.Config.App, c.Config.Storage, c.Config.FailureRate),
-				Result: c.Rep.Runs[0],
-			}
-		}
-		return results, out, nil
-	}
-	if name == "outages" {
-		// Likewise for the correlated-outage study (rate ladder crossed
-		// with the checkpoint/restart arm).
-		cells, out, err := OutageStudy(OutageStudyOptions{Sweep: opt})
-		if err != nil {
-			return nil, "", err
-		}
-		results := make([]AblationResult, len(cells))
-		for i, c := range cells {
-			ckpt := ""
-			if c.Checkpointed() {
-				ckpt = " +ckpt"
-			}
-			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s r=%g%s", c.Config.App, c.Config.Storage, c.Config.OutageRate, ckpt),
-				Result: c.Rep.Runs[0],
-			}
-		}
-		return results, out, nil
-	}
-	if name == "scale" || name == "scale1000" {
-		// The large-matrix scale study: cluster sizes beyond the paper's
-		// 8 nodes, paired against the 8-node baseline; honours opt.Seeds.
-		// The scale1000 variant jumps straight to 1000 nodes.
-		sopt := ScaleStudyOptions{Sweep: opt}
-		if name == "scale1000" {
-			sopt.Sizes = []int{8, 1000}
-		}
-		cells, out, err := ScaleStudy(sopt)
-		if err != nil {
-			return nil, "", err
-		}
-		results := make([]AblationResult, len(cells))
-		for i, c := range cells {
-			results[i] = AblationResult{
-				Label:  fmt.Sprintf("%s/%s n=%d", c.Config.App, c.Config.Storage, c.Config.Workers),
-				Result: c.Rep.Runs[0],
-			}
-		}
-		return results, out, nil
+	if study, ok := studies[name]; ok {
+		out, err := study(opt)
+		return nil, out, err
 	}
 	a, ok := ablations[name]
 	if !ok {
@@ -97,6 +44,29 @@ func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, err
 		return nil, "", err
 	}
 	return results, renderAblation(a.title, results), nil
+}
+
+// studies are the ablations with their own matrix and renderer
+// (baseline-paired cells, delta charts). Unlike the fixed-cell
+// ablations they honour opt.Seeds, and they return no AblationResults.
+var studies = map[string]func(opt SweepOptions) (string, error){
+	"failures": func(opt SweepOptions) (string, error) {
+		_, out, err := FailureStudy(FailureStudyOptions{Sweep: opt})
+		return out, err
+	},
+	"outages": func(opt SweepOptions) (string, error) {
+		_, out, err := OutageStudy(OutageStudyOptions{Sweep: opt})
+		return out, err
+	},
+	"scale": func(opt SweepOptions) (string, error) {
+		_, out, err := ScaleStudy(ScaleStudyOptions{Sweep: opt})
+		return out, err
+	},
+	// scale1000 jumps from the paper's 8 nodes straight to 1000.
+	"scale1000": func(opt SweepOptions) (string, error) {
+		_, out, err := ScaleStudy(ScaleStudyOptions{Sizes: []int{8, 1000}, Sweep: opt})
+		return out, err
+	},
 }
 
 // AblationNames lists the available ablation experiments.

@@ -8,6 +8,7 @@ import (
 
 	"ec2wfsim/internal/cost"
 	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -28,9 +29,11 @@ func cacheRowFixture() *RunResult {
 			WorkerType: "m1.large", DataAware: true,
 			Seed: 11, AppSeed: 12,
 			InitializeDisks: true, InitializeBytes: 13e9,
-			FailureRate: 0.14, MaxRetries: 15, FailureSeed: 16,
-			OutageRate: 0.17, OutageDuration: 18.5, OutageSeed: 19,
-			CheckpointInterval: 20.25,
+			Faults: wms.Faults{
+				FailureRate: 0.14, MaxRetries: 15, FailureSeed: 16,
+				OutageRate: 0.17, OutageDuration: 18.5, OutageSeed: 19,
+				CheckpointInterval: 20.25,
+			},
 		},
 		Makespan:        1234.5,
 		ProvisionTime:   67.125,

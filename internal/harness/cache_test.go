@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ec2wfsim/internal/resultcache"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -275,5 +276,35 @@ func TestCacheSweepSeedsReplicateEntries(t *testing.T) {
 	coldRow, warmRow := coldReps[0].JSONRow(), warmReps[0].JSONRow()
 	if !reflect.DeepEqual(coldRow, warmRow) {
 		t.Errorf("warm aggregation differs from cold:\ncold: %+v\nwarm: %+v", coldRow, warmRow)
+	}
+}
+
+// TestWarmStoreRejectsBadKnob: a negative MaxRetries keys as the plain
+// cell at failure rate 0, so the knobs must be checked before the memo
+// and the store are read, or a warm cache would serve a configuration
+// that a cold run rejects.
+func TestWarmStoreRejectsBadKnob(t *testing.T) {
+	dir := t.TempDir()
+	cell := RunConfig{App: "montage", Storage: "nfs", Workers: 2}
+	if _, err := Sweep([]RunConfig{cell}, SweepOptions{NoMemo: true, Cache: openTestCache(t, dir)}); err != nil {
+		t.Fatal(err)
+	}
+	bad := cell
+	bad.MaxRetries = -1
+	if CellKey(bad) != CellKey(cell) {
+		t.Fatalf("MaxRetries at rate 0 changed the key; the warm store would not be consulted")
+	}
+	warm := openTestCache(t, dir)
+	_, err := Sweep([]RunConfig{bad}, SweepOptions{Cache: warm})
+	var fe *wms.FaultError
+	if !errors.As(err, &fe) || fe.Field != "max_retries" {
+		t.Errorf("Sweep err = %v, want a *wms.FaultError for max_retries", err)
+	}
+	_, err = SweepSeeds([]RunConfig{bad}, SweepOptions{Seeds: 2, Cache: warm})
+	if !errors.As(err, &fe) || fe.Field != "max_retries" {
+		t.Errorf("SweepSeeds err = %v, want a *wms.FaultError for max_retries", err)
+	}
+	if hits, _ := warm.Stats(); hits != 0 {
+		t.Errorf("the store served %d hit(s) for a rejected configuration", hits)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/units"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -109,15 +110,37 @@ type PairedCell struct {
 // study.
 type FailureCell = PairedCell
 
-// pairCells pairs each cell's aggregate with its baseline: cfgs comes in
-// blocks of block cells sharing (app, storage), each led by the
-// baseline.
-func pairCells(cfgs []RunConfig, reps []Replicated, block int) []PairedCell {
+// pairedSweep runs the apps x storages x arms matrix as one replicated
+// batch and pairs each cell with its baseline, the first arm of its
+// (app, storage) block. An arm is a cell configuration without App,
+// Storage and Workflow; build, if set, supplies each cell's workflow.
+func pairedSweep(apps, storages []string, arms []RunConfig, build func(app string) (*workflow.Workflow, error), opt SweepOptions) ([]PairedCell, error) {
+	var cfgs []RunConfig
+	for _, app := range apps {
+		for _, sys := range storages {
+			for _, arm := range arms {
+				cfg := arm
+				cfg.App, cfg.Storage = app, sys
+				if build != nil {
+					w, err := build(app)
+					if err != nil {
+						return nil, err
+					}
+					cfg.Workflow = w
+				}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	reps, err := SweepSeeds(cfgs, opt)
+	if err != nil {
+		return nil, err
+	}
 	cells := make([]PairedCell, len(reps))
 	for i, rep := range reps {
-		cells[i] = PairedCell{Config: cfgs[i], Rep: rep, Baseline: reps[i-i%block]}
+		cells[i] = PairedCell{Config: cfgs[i], Rep: rep, Baseline: reps[i-i%len(arms)]}
 	}
-	return cells
+	return cells, nil
 }
 
 // Speedup is the makespan ratio over the smallest-size baseline (2 =
@@ -199,38 +222,18 @@ func (c PairedCell) CostOverhead() float64 {
 // parallelism.
 func FailureStudy(o FailureStudyOptions) ([]FailureCell, string, error) {
 	o.normalize()
-	var cfgs []RunConfig
-	for _, app := range o.Apps {
-		for _, sys := range o.Storages {
-			for _, rate := range o.Rates {
-				cfg := RunConfig{
-					App:         app,
-					Storage:     sys,
-					Workers:     o.Workers,
-					FailureRate: rate,
-					MaxRetries:  o.MaxRetries,
-				}
-				if rate > 0 {
-					cfg.FailureSeed = o.FailureSeed
-				}
-				if o.Build != nil {
-					w, err := o.Build(app)
-					if err != nil {
-						return nil, "", err
-					}
-					cfg.Workflow = w
-				}
-				cfgs = append(cfgs, cfg)
-			}
+	arms := make([]RunConfig, len(o.Rates))
+	for i, rate := range o.Rates {
+		arms[i] = RunConfig{Workers: o.Workers, Faults: wms.Faults{FailureRate: rate, MaxRetries: o.MaxRetries}}
+		if rate > 0 {
+			arms[i].FailureSeed = o.FailureSeed
 		}
 	}
-	reps, err := SweepSeeds(cfgs, o.Sweep)
+	// The first rate is 0, so each block's baseline is failure-free.
+	cells, err := pairedSweep(o.Apps, o.Storages, arms, o.Build, o.Sweep)
 	if err != nil {
 		return nil, "", err
 	}
-	// cfgs is blocks of len(o.Rates) sharing (app, storage); the first
-	// entry of each block is the rate-0 baseline.
-	cells := pairCells(cfgs, reps, len(o.Rates))
 	return cells, renderFailureStudy(o, cells), nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ec2wfsim/internal/apps"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -39,10 +40,10 @@ func TestCellKeyFailureUniqueness(t *testing.T) {
 	base := RunConfig{App: "montage", Storage: "pvfs", Workers: 4}
 	distinct := []RunConfig{
 		base,
-		{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.05},
-		{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.1},
-		{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.1, MaxRetries: 5},
-		{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.1, FailureSeed: 7},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.05}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1, MaxRetries: 5}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1, FailureSeed: 7}},
 	}
 	seen := make(map[string]int)
 	for i, cfg := range distinct {
@@ -56,13 +57,13 @@ func TestCellKeyFailureUniqueness(t *testing.T) {
 		seen[key] = i
 	}
 	// Fields ignored at FailureRate 0 must hit the plain cell's cache.
-	ignored := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, MaxRetries: 5, FailureSeed: 7}
+	ignored := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{MaxRetries: 5, FailureSeed: 7}}
 	if CellKey(ignored) != CellKey(base) {
 		t.Errorf("retries/seed at rate 0 split the cache:\n%q\nvs\n%q", CellKey(ignored), CellKey(base))
 	}
 	// Explicit DAGMan defaults must hit the default-valued cell's cache.
-	explicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.1, MaxRetries: 3}
-	implicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, FailureRate: 0.1}
+	explicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1, MaxRetries: 3}}
+	implicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1}}
 	if CellKey(explicit) != CellKey(implicit) {
 		t.Errorf("explicit MaxRetries=3 split the cache:\n%q\nvs\n%q", CellKey(explicit), CellKey(implicit))
 	}
@@ -75,8 +76,8 @@ func TestFailureReplayDeterministic(t *testing.T) {
 	run := func() *RunResult {
 		r, err := Run(RunConfig{
 			App: "montage", Storage: "gluster-nufa", Workers: 2,
-			Workflow:    smallApp(t, "montage"),
-			FailureRate: 0.3, FailureSeed: 42,
+			Workflow: smallApp(t, "montage"),
+			Faults:   wms.Faults{FailureRate: 0.3, FailureSeed: 42},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -94,8 +95,8 @@ func TestFailureReplayDeterministic(t *testing.T) {
 	// A different seed must produce a different failure pattern.
 	c, err := Run(RunConfig{
 		App: "montage", Storage: "gluster-nufa", Workers: 2,
-		Workflow:    smallApp(t, "montage"),
-		FailureRate: 0.3, FailureSeed: 43,
+		Workflow: smallApp(t, "montage"),
+		Faults:   wms.Faults{FailureRate: 0.3, FailureSeed: 43},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ec2wfsim/internal/wms"
 )
 
 // The golden file pins the simulation's paper numbers: Table I, all
@@ -111,7 +113,7 @@ func collectGolden(t *testing.T) goldenData {
 	for _, rate := range []float64{0, 0.1} {
 		r, err := RunCached(RunConfig{
 			App: "montage", Storage: "pvfs",
-			Workers: DefaultFailureStudyWorkers, FailureRate: rate,
+			Workers: DefaultFailureStudyWorkers, Faults: wms.Faults{FailureRate: rate},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -132,8 +134,8 @@ func collectGolden(t *testing.T) goldenData {
 	for _, rate := range []float64{0, 1} {
 		r, err := RunCached(RunConfig{
 			App: "montage", Storage: "pvfs",
-			Workers: DefaultOutageStudyWorkers, OutageRate: rate,
-			CheckpointInterval: DefaultOutageStudyCheckpoint,
+			Workers: DefaultOutageStudyWorkers,
+			Faults:  wms.Faults{OutageRate: rate, CheckpointInterval: DefaultOutageStudyCheckpoint},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -80,10 +80,11 @@ func (r *RunResult) Completed() int {
 	return n
 }
 
-// Run executes one experiment cell at the requested scale. Catalog
-// names are validated up front, so an unknown application, storage
-// system or worker type — a typo in a spec file, say — fails with a
-// typed *scenario.UnknownNameError listing the valid names.
+// Run executes one experiment cell at the requested scale. The spec is
+// validated up front, so an unknown application, storage system or
+// worker type — a typo in a spec file, say — fails with a typed
+// *scenario.UnknownNameError listing the valid names, and a fault knob
+// out of range with a *wms.FaultError.
 func Run(cfg RunConfig) (*RunResult, error) {
 	r, _, err := runWith(cfg, nil)
 	return r, err
@@ -94,6 +95,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // returns the engine's total scheduled-event count, which recorded runs
 // carry in the log trailer as a replay cross-check.
 func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, 0, err
+	}
 	w := cfg.Workflow
 	if w == nil {
 		if err := scenario.ValidateApp(cfg.App); err != nil {
@@ -104,12 +108,6 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-	}
-	if err := scenario.ValidateStorage(cfg.Storage); err != nil {
-		return nil, 0, err
-	}
-	if err := scenario.ValidateWorkerType(cfg.WorkerType); err != nil {
-		return nil, 0, err
 	}
 	sys, err := storage.ByName(cfg.Storage)
 	if err != nil {
@@ -150,17 +148,11 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 		return nil, 0, err
 	}
 	res, err := wms.Run(e, wms.Options{
-		Cluster:            c,
-		Storage:            sys,
-		DataAware:          cfg.DataAware,
-		FailureRate:        cfg.FailureRate,
-		MaxRetries:         cfg.MaxRetries,
-		FailureSeed:        cfg.FailureSeed,
-		OutageRate:         cfg.OutageRate,
-		OutageDuration:     cfg.OutageDuration,
-		OutageSeed:         cfg.OutageSeed,
-		CheckpointInterval: cfg.CheckpointInterval,
-		Recorder:           rec,
+		Cluster:   c,
+		Storage:   sys,
+		DataAware: cfg.DataAware,
+		Faults:    cfg.Faults,
+		Recorder:  rec,
 	}, w)
 	if err != nil {
 		return nil, 0, err

@@ -3,6 +3,8 @@ package harness
 import (
 	"runtime"
 	"testing"
+
+	"ec2wfsim/internal/wms"
 )
 
 // TestRunLeavesNoGoroutines runs an NFS cell, whose write-back flusher is
@@ -84,7 +86,7 @@ func TestProvisionFollowsReplicateSeed(t *testing.T) {
 // has no memo key (its hashed seeds are never requested again) but
 // keeps a store key of its own, rendered from its reseeded spec.
 func TestReplicateConfigSkipsMemo(t *testing.T) {
-	cfg := RunConfig{App: "montage", Storage: "nfs", Workers: 2, FailureRate: 0.1}
+	cfg := RunConfig{App: "montage", Storage: "nfs", Workers: 2, Faults: wms.Faults{FailureRate: 0.1}}
 	if got := ReplicateConfig(cfg, 0); got != cfg || CellKey(got) == "" {
 		t.Errorf("replicate 0 = %+v with key %q, want the cell itself", got, CellKey(got))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/units"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -112,40 +113,21 @@ func OutageStudy(o OutageStudyOptions) ([]OutageCell, string, error) {
 	// then the checkpointed arm. The block's first cell (rate 0, no
 	// checkpoint) is the shared baseline, so checkpoint overhead at rate
 	// 0 is visible as its own row.
-	intervals := []float64{0, o.CheckpointInterval}
-	var cfgs []RunConfig
-	for _, app := range o.Apps {
-		for _, sys := range o.Storages {
-			for _, interval := range intervals {
-				for _, rate := range o.Rates {
-					cfg := RunConfig{
-						App:                app,
-						Storage:            sys,
-						Workers:            o.Workers,
-						OutageRate:         rate,
-						CheckpointInterval: interval,
-					}
-					if rate > 0 {
-						cfg.OutageDuration = o.Duration
-						cfg.OutageSeed = o.OutageSeed
-					}
-					if o.Build != nil {
-						w, err := o.Build(app)
-						if err != nil {
-							return nil, "", err
-						}
-						cfg.Workflow = w
-					}
-					cfgs = append(cfgs, cfg)
-				}
+	var arms []RunConfig
+	for _, interval := range []float64{0, o.CheckpointInterval} {
+		for _, rate := range o.Rates {
+			arm := RunConfig{Workers: o.Workers, Faults: wms.Faults{OutageRate: rate, CheckpointInterval: interval}}
+			if rate > 0 {
+				arm.OutageDuration = o.Duration
+				arm.OutageSeed = o.OutageSeed
 			}
+			arms = append(arms, arm)
 		}
 	}
-	reps, err := SweepSeeds(cfgs, o.Sweep)
+	cells, err := pairedSweep(o.Apps, o.Storages, arms, o.Build, o.Sweep)
 	if err != nil {
 		return nil, "", err
 	}
-	cells := pairCells(cfgs, reps, len(o.Rates)*len(intervals))
 	return cells, renderOutageStudy(o, cells), nil
 }
 

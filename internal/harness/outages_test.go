@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"ec2wfsim/internal/wms"
 )
 
 // TestCellKeyOutageUniqueness pins the memoization contract for the
@@ -13,12 +15,12 @@ func TestCellKeyOutageUniqueness(t *testing.T) {
 	base := RunConfig{App: "montage", Storage: "pvfs", Workers: 4}
 	distinct := []RunConfig{
 		base,
-		{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 0.5},
-		{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1},
-		{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1, OutageDuration: 300},
-		{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1, OutageSeed: 7},
-		{App: "montage", Storage: "pvfs", Workers: 4, CheckpointInterval: 120},
-		{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1, CheckpointInterval: 120},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 0.5}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1, OutageDuration: 300}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1, OutageSeed: 7}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{CheckpointInterval: 120}},
+		{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1, CheckpointInterval: 120}},
 	}
 	seen := make(map[string]int)
 	for i, cfg := range distinct {
@@ -32,13 +34,13 @@ func TestCellKeyOutageUniqueness(t *testing.T) {
 		seen[key] = i
 	}
 	// Fields ignored at OutageRate 0 must hit the plain cell's cache.
-	ignored := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, OutageDuration: 300, OutageSeed: 7}
+	ignored := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageDuration: 300, OutageSeed: 7}}
 	if CellKey(ignored) != CellKey(base) {
 		t.Errorf("duration/seed at rate 0 split the cache:\n%q\nvs\n%q", CellKey(ignored), CellKey(base))
 	}
 	// Explicit wms defaults must hit the default-valued cell's cache.
-	explicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1, OutageDuration: 120, OutageSeed: 0xDEAD}
-	implicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, OutageRate: 1}
+	explicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1, OutageDuration: 120, OutageSeed: 0xDEAD}}
+	implicit := RunConfig{App: "montage", Storage: "pvfs", Workers: 4, Faults: wms.Faults{OutageRate: 1}}
 	if CellKey(explicit) != CellKey(implicit) {
 		t.Errorf("explicit outage defaults split the cache:\n%q\nvs\n%q", CellKey(explicit), CellKey(implicit))
 	}

@@ -23,7 +23,12 @@ import (
 // headerFor builds the self-describing log header for a configuration.
 // Configurations with a custom Workflow embed its JSON so the log stays
 // replayable; catalog runs are reconstructed from (App, AppSeed) alone.
+// The spec is validated first, so a bad knob fails with its typed error
+// before any header is written.
 func headerFor(cfg RunConfig) (eventlog.Header, error) {
+	if err := cfg.Validate(); err != nil {
+		return eventlog.Header{}, err
+	}
 	specJSON, err := cfg.CanonicalJSON()
 	if err != nil {
 		return eventlog.Header{}, fmt.Errorf("harness: encoding spec: %w", err)

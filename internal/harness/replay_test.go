@@ -15,6 +15,7 @@ import (
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/eventlog"
 	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -88,9 +89,8 @@ func TestReplayVerifyFailureOutageCheckpoint(t *testing.T) {
 	t.Parallel()
 	cfg := RunConfig{
 		App: "montage", Storage: "nfs", Workers: 2,
-		Workflow:    replayWorkflow(t),
-		FailureRate: 0.2, OutageRate: 30, OutageDuration: 5,
-		CheckpointInterval: 2,
+		Workflow: replayWorkflow(t),
+		Faults:   wms.Faults{FailureRate: 0.2, OutageRate: 30, OutageDuration: 5, CheckpointInterval: 2},
 	}
 	var buf bytes.Buffer
 	r, err := RunRecorded(cfg, &buf)

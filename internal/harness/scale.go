@@ -89,29 +89,15 @@ type ScaleCell = PairedCell
 // parallelism.
 func ScaleStudy(o ScaleStudyOptions) ([]ScaleCell, string, error) {
 	o.normalize()
-	var cfgs []RunConfig
-	for _, app := range o.Apps {
-		for _, sys := range o.Storages {
-			for _, workers := range o.Sizes {
-				cfg := RunConfig{App: app, Storage: sys, Workers: workers}
-				if o.Build != nil {
-					w, err := o.Build(app)
-					if err != nil {
-						return nil, "", err
-					}
-					cfg.Workflow = w
-				}
-				cfgs = append(cfgs, cfg)
-			}
-		}
+	arms := make([]RunConfig, len(o.Sizes))
+	for i, workers := range o.Sizes {
+		arms[i] = RunConfig{Workers: workers}
 	}
-	reps, err := SweepSeeds(cfgs, o.Sweep)
+	// Sizes are sorted, so each block's baseline is the smallest size.
+	cells, err := pairedSweep(o.Apps, o.Storages, arms, o.Build, o.Sweep)
 	if err != nil {
 		return nil, "", err
 	}
-	// cfgs is blocks of len(o.Sizes) sharing (app, storage); the first
-	// entry of each block is the smallest-size baseline.
-	cells := pairCells(cfgs, reps, len(o.Sizes))
 	return cells, renderScaleStudy(o, cells), nil
 }
 

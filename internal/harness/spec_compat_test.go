@@ -137,9 +137,11 @@ func compatConfigs() []RunConfig {
 													WorkerType: wt, DataAware: aware,
 													Seed: seed, AppSeed: appseed,
 													InitializeDisks: init,
-													FailureRate:     fc.rate, MaxRetries: fc.retr, FailureSeed: fc.seed,
-													OutageRate: oc.rate, OutageSeed: oc.seed,
-													CheckpointInterval: ck,
+													Faults: wms.Faults{
+														FailureRate: fc.rate, MaxRetries: fc.retr, FailureSeed: fc.seed,
+														OutageRate: oc.rate, OutageSeed: oc.seed,
+														CheckpointInterval: ck,
+													},
 												}
 												if init {
 													cfg.InitializeBytes = 50e9

@@ -179,6 +179,18 @@ func runCell(cfg RunConfig) (*RunResult, error) {
 	return r, nil
 }
 
+// validateCells checks every cell before any runs and before the memo
+// or the result store is read, so a warm cache never serves a
+// configuration that a cold run rejects.
+func validateCells(cfgs []RunConfig) error {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("harness: %s on %s with %d workers: %w", cfg.App, cfg.Storage, cfg.Workers, err)
+		}
+	}
+	return nil
+}
+
 // Sweep runs a batch of cells concurrently and returns results in input
 // order, bit-for-bit identical at any parallelism. Cells already in the
 // process-wide cache are not re-run; every returned result is a private
@@ -186,6 +198,9 @@ func runCell(cfg RunConfig) (*RunResult, error) {
 // stops the sweep promptly: completed cells still reach opt.Progress,
 // and Sweep returns the context's error.
 func Sweep(cfgs []RunConfig, opt SweepOptions) ([]*RunResult, error) {
+	if err := validateCells(cfgs); err != nil {
+		return nil, err
+	}
 	results, err := opt.engine().MapCtx(opt.ctx(), cfgs)
 	if err != nil {
 		return nil, err
@@ -274,6 +289,9 @@ func aggregate(cfg RunConfig, runs []*RunResult) Replicated {
 // which replicate finished first. With opt.OnCell set, aggregations
 // stream in cell order while later cells are still running.
 func SweepSeeds(cfgs []RunConfig, opt SweepOptions) ([]Replicated, error) {
+	if err := validateCells(cfgs); err != nil {
+		return nil, err
+	}
 	seeds := opt.Seeds
 	if seeds <= 0 {
 		seeds = 1

@@ -7,6 +7,7 @@ import (
 
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/harness"
+	"ec2wfsim/internal/wms"
 )
 
 // recordPair runs the known-divergent pair — the same scaled-down
@@ -125,7 +126,7 @@ func TestCrossReportRetryOccurrences(t *testing.T) {
 		var buf bytes.Buffer
 		_, err := harness.RunRecorded(harness.RunConfig{
 			App: "montage", Storage: "nfs", Workers: 2, Workflow: w,
-			FailureRate: rate,
+			Faults: wms.Faults{FailureRate: rate},
 		}, &buf)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/rng"
 	"ec2wfsim/internal/storage"
-	"ec2wfsim/internal/wms"
 )
 
 // A group is one self-describing block of scenario options. Each group
@@ -146,19 +145,8 @@ var groups = []group{
 	{
 		name: "failures",
 		key: func(s *Spec) string {
-			var retries int
-			var failSeed uint64
-			if s.FailureRate > 0 {
-				retries = s.MaxRetries
-				if retries == 0 {
-					retries = wms.DefaultMaxRetries
-				}
-				failSeed = s.FailureSeed
-				if failSeed == 0 {
-					failSeed = wms.DefaultFailureSeed
-				}
-			}
-			return fmt.Sprintf("fail=%g:%d:%d", s.FailureRate, retries, failSeed)
+			f := s.Faults.Resolved()
+			return fmt.Sprintf("fail=%g:%d:%d", f.FailureRate, f.MaxRetries, f.FailureSeed)
 		},
 		reseed: func(s *Spec, derived uint64) {
 			if s.FailureRate > 0 {
@@ -182,19 +170,8 @@ var groups = []group{
 	{
 		name: "outages",
 		key: func(s *Spec) string {
-			var outDur float64
-			var outSeed uint64
-			if s.OutageRate > 0 {
-				outDur = s.OutageDuration
-				if outDur == 0 {
-					outDur = wms.DefaultOutageDuration
-				}
-				outSeed = s.OutageSeed
-				if outSeed == 0 {
-					outSeed = wms.DefaultOutageSeed
-				}
-			}
-			return fmt.Sprintf("out=%g:%g:%d", s.OutageRate, outDur, outSeed)
+			f := s.Faults.Resolved()
+			return fmt.Sprintf("out=%g:%g:%d", f.OutageRate, f.OutageDuration, f.OutageSeed)
 		},
 		reseed: func(s *Spec, derived uint64) {
 			if s.OutageRate > 0 {

@@ -26,6 +26,7 @@ import (
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -59,24 +60,10 @@ type Spec struct {
 	InitializeDisks bool    `json:"initialize_disks,omitempty"`
 	InitializeBytes float64 `json:"initialize_bytes,omitempty"`
 
-	// FailureRate injects i.i.d. transient task failures with this
-	// per-attempt probability; MaxRetries (0 = DAGMan's default of 3)
-	// and FailureSeed (0 = a fixed default) are ignored at rate 0.
-	FailureRate float64 `json:"failure_rate,omitempty"`
-	MaxRetries  int     `json:"max_retries,omitempty"`
-	FailureSeed uint64  `json:"failure_seed,omitempty"`
-
-	// OutageRate injects correlated node outages per node per hour;
-	// OutageDuration (mean seconds, 0 = the wms default) and OutageSeed
-	// (0 = a fixed default) are ignored at rate 0.
-	OutageRate     float64 `json:"outage_rate,omitempty"`
-	OutageDuration float64 `json:"outage_duration,omitempty"`
-	OutageSeed     uint64  `json:"outage_seed,omitempty"`
-
-	// CheckpointInterval makes tasks checkpoint every interval seconds
-	// of computation and resume killed attempts from the last
-	// checkpoint; 0 disables checkpointing.
-	CheckpointInterval float64 `json:"checkpoint_interval,omitempty"`
+	// Faults is the fault model: failure injection, node outages and
+	// checkpointing. Its fields are promoted, so they serialize in place
+	// like the fields above.
+	wms.Faults
 
 	// Workflow overrides the paper-scale application with a custom DAG
 	// (tests and benchmarks run scaled-down instances); AppSeed is then
@@ -147,7 +134,8 @@ func ValidateWorkerType(name string) error {
 }
 
 // Validate checks every catalog-typed field of the spec, so a typo in a
-// spec file fails with the valid names before any simulation starts.
+// spec file fails with the valid names before any simulation starts,
+// and the fault knobs' ranges (a *wms.FaultError names the bad one).
 // An empty App passes here — it means "the caller supplies a workflow",
 // and the harness rejects it with the same typed error when none is —
 // but a non-empty App must resolve.
@@ -166,8 +154,5 @@ func (s *Spec) Validate() error {
 	if s.Workers <= 0 {
 		return fmt.Errorf("scenario: workers must be positive (got %d)", s.Workers)
 	}
-	if s.FailureRate < 0 || s.OutageRate < 0 || s.OutageDuration < 0 || s.CheckpointInterval < 0 {
-		return fmt.Errorf("scenario: rates, durations and intervals must be non-negative")
-	}
-	return nil
+	return s.Faults.Validate()
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
 
@@ -23,11 +24,11 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 		t.Errorf("explicit defaults split the key:\n%q\nvs\n%q", Key(base), Key(explicit))
 	}
 	ignored := &Spec{App: "montage", Storage: "nfs", Workers: 2,
-		MaxRetries: 5, FailureSeed: 9, OutageDuration: 60, OutageSeed: 11}
+		Faults: wms.Faults{MaxRetries: 5, FailureSeed: 9, OutageDuration: 60, OutageSeed: 11}}
 	if Key(base) != Key(ignored) {
 		t.Errorf("inactive knob fields split the key:\n%q\nvs\n%q", Key(base), Key(ignored))
 	}
-	failing := &Spec{App: "montage", Storage: "nfs", Workers: 2, FailureRate: 0.1}
+	failing := &Spec{App: "montage", Storage: "nfs", Workers: 2, Faults: wms.Faults{FailureRate: 0.1}}
 	if Key(base) == Key(failing) {
 		t.Error("failure rate did not change the key")
 	}
@@ -81,7 +82,7 @@ func TestRetiredFieldsRejected(t *testing.T) {
 func TestPairKeyExcludesKnobs(t *testing.T) {
 	base := &Spec{App: "montage", Storage: "nfs", Workers: 2}
 	knobbed := &Spec{App: "montage", Storage: "nfs", Workers: 2,
-		Seed: 7, AppSeed: 3, FailureRate: 0.1, OutageRate: 1, CheckpointInterval: 60}
+		Seed: 7, AppSeed: 3, Faults: wms.Faults{FailureRate: 0.1, OutageRate: 1, CheckpointInterval: 60}}
 	if PairKey(base) != PairKey(knobbed) {
 		t.Errorf("knobs changed the pairing hash:\n%q\nvs\n%q", PairKey(base), PairKey(knobbed))
 	}
@@ -103,7 +104,7 @@ func TestReseedOnlyActiveStreams(t *testing.T) {
 	if s.FailureSeed != 0 || s.OutageSeed != 0 {
 		t.Errorf("inactive streams reseeded: %+v", s)
 	}
-	f := &Spec{App: "montage", Storage: "nfs", Workers: 2, FailureRate: 0.1, OutageRate: 1}
+	f := &Spec{App: "montage", Storage: "nfs", Workers: 2, Faults: wms.Faults{FailureRate: 0.1, OutageRate: 1}}
 	Reseed(f, 42)
 	if f.FailureSeed == 0 || f.OutageSeed == 0 {
 		t.Errorf("active streams not reseeded: %+v", f)
@@ -118,7 +119,7 @@ func TestReseedOnlyActiveStreams(t *testing.T) {
 // serialized form, key or reseed, and no file, flag or axis can set
 // them.
 func TestInMemoryFieldsStayInMemory(t *testing.T) {
-	plain := Spec{App: "montage", Storage: "nfs", Workers: 2, Seed: 7, FailureRate: 0.1}
+	plain := Spec{App: "montage", Storage: "nfs", Workers: 2, Seed: 7, Faults: wms.Faults{FailureRate: 0.1}}
 	mem := plain
 	mem.Workflow = workflow.New("custom")
 	mem.Replicate = 3
@@ -197,6 +198,29 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
+// TestSpecFileRejectsBadKnobs: the out-of-range knob values a JSON spec
+// can carry fail Cells with a *wms.FaultError naming the field, even
+// where the rate switches the knob off.
+func TestSpecFileRejectsBadKnobs(t *testing.T) {
+	for _, tc := range []struct{ field, knobs string }{
+		{"failure_rate", `"failure_rate": 1`},
+		{"max_retries", `"max_retries": -1`},
+		{"outage_rate", `"outage_rate": -0.5`},
+		{"outage_duration", `"outage_rate": 1, "outage_duration": -5`},
+		{"checkpoint_interval", `"checkpoint_interval": -60`},
+	} {
+		e, err := Read(strings.NewReader(`{"app": "montage", "storage": "nfs", "workers": 2, ` + tc.knobs + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Cells()
+		var fe *wms.FaultError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("spec with %s: err = %v, want a *wms.FaultError for %s", tc.knobs, err, tc.field)
+		}
+	}
+}
+
 func TestExperimentCells(t *testing.T) {
 	e := Experiment{
 		Base: Spec{App: "montage", Storage: "nfs", Workers: 1},
@@ -267,7 +291,7 @@ func TestExperimentReadBothShapes(t *testing.T) {
 
 func TestExperimentWriteReadRoundTrip(t *testing.T) {
 	e := Experiment{
-		Base:  Spec{App: "epigenome", Storage: "pvfs", Workers: 4, FailureRate: 0.1, MaxRetries: 5},
+		Base:  Spec{App: "epigenome", Storage: "pvfs", Workers: 4, Faults: wms.Faults{FailureRate: 0.1, MaxRetries: 5}},
 		Axes:  []Axis{{Field: "outage_rate", Values: []any{0.5, 1.0}}},
 		Seeds: 5,
 	}
@@ -310,9 +334,11 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		s := Spec{
 			App: app, Storage: storage, Workers: workers, WorkerType: wt,
 			DataAware: aware, Seed: seed, AppSeed: appSeed,
-			FailureRate: failRate, MaxRetries: retries, FailureSeed: failSeed,
-			OutageRate: outRate, OutageDuration: outDur, OutageSeed: outSeed,
-			CheckpointInterval: ckpt,
+			Faults: wms.Faults{
+				FailureRate: failRate, MaxRetries: retries, FailureSeed: failSeed,
+				OutageRate: outRate, OutageDuration: outDur, OutageSeed: outSeed,
+				CheckpointInterval: ckpt,
+			},
 		}
 		data, err := json.Marshal(s)
 		if err != nil {

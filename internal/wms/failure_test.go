@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -11,9 +12,9 @@ func TestFailureInjectionRetriesAndCompletes(t *testing.T) {
 	e, c, sys := deploy(t, "local", 1)
 	w := fanWorkflow(t, 64, 5, 100*units.MB)
 	res, err := Run(e, Options{
-		Cluster:     c,
-		Storage:     sys,
-		FailureRate: 0.2,
+		Cluster: c,
+		Storage: sys,
+		Faults:  Faults{FailureRate: 0.2},
 	}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestFailuresLengthenMakespan(t *testing.T) {
 	run := func(rate float64) float64 {
 		e, c, sys := deploy(t, "local", 1)
 		w := fanWorkflow(t, 64, 5, 100*units.MB)
-		res, err := Run(e, Options{Cluster: c, Storage: sys, FailureRate: rate}, w)
+		res, err := Run(e, Options{Cluster: c, Storage: sys, Faults: Faults{FailureRate: rate}}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestFailureInjectionDeterministic(t *testing.T) {
 	run := func() (float64, int64) {
 		e, c, sys := deploy(t, "local", 1)
 		w := fanWorkflow(t, 32, 5, 100*units.MB)
-		res, err := Run(e, Options{Cluster: c, Storage: sys, FailureRate: 0.25, FailureSeed: 99}, w)
+		res, err := Run(e, Options{Cluster: c, Storage: sys, Faults: Faults{FailureRate: 0.25, FailureSeed: 99}}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +92,9 @@ func TestMaxRetriesBoundsAttempts(t *testing.T) {
 	e, c, sys := deploy(t, "local", 1)
 	w := fanWorkflow(t, 16, 2, 100*units.MB)
 	res, err := Run(e, Options{
-		Cluster:     c,
-		Storage:     sys,
-		FailureRate: 0.95,
-		MaxRetries:  2,
+		Cluster: c,
+		Storage: sys,
+		Faults:  Faults{FailureRate: 0.95, MaxRetries: 2},
 	}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,10 @@ func TestCertainFailureRejected(t *testing.T) {
 		{"negative retries", 0.1, -1},
 	} {
 		e, c, sys := deploy(t, "local", 1)
-		opts := Options{Cluster: c, Storage: sys, FailureRate: tc.rate, MaxRetries: tc.retries}
-		if _, err := Run(e, opts, w); err == nil {
-			t.Errorf("%s: FailureRate %g with MaxRetries %d accepted", tc.name, tc.rate, tc.retries)
+		opts := Options{Cluster: c, Storage: sys, Faults: Faults{FailureRate: tc.rate, MaxRetries: tc.retries}}
+		var fe *FaultError
+		if _, err := Run(e, opts, w); !errors.As(err, &fe) {
+			t.Errorf("%s: FailureRate %g with MaxRetries %d gave %v, want a *FaultError", tc.name, tc.rate, tc.retries, err)
 		}
 	}
 }
@@ -140,7 +141,7 @@ func TestFailureReleasesMemory(t *testing.T) {
 	// semaphore drained.
 	e, c, sys := deploy(t, "local", 1)
 	w := fanWorkflow(t, 12, 3, 4*units.GiB)
-	res, err := Run(e, Options{Cluster: c, Storage: sys, FailureRate: 0.4}, w)
+	res, err := Run(e, Options{Cluster: c, Storage: sys, Faults: Faults{FailureRate: 0.4}}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,10 +116,10 @@ func TestInvariantsUnderFailuresAndLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(e, Options{
-		Cluster:     c,
-		Storage:     sys,
-		DataAware:   true,
-		FailureRate: 0.15,
+		Cluster:   c,
+		Storage:   sys,
+		DataAware: true,
+		Faults:    Faults{FailureRate: 0.15},
 	}, w)
 	if err != nil {
 		t.Fatal(err)

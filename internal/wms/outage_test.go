@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestOutageKillsAndRecovers(t *testing.T) {
 		w := fanWorkflow(t, 32, 60, 100*units.MB)
 		res, err := Run(e, Options{
 			Cluster: c, Storage: sys,
-			OutageRate: rate, OutageDuration: 90, OutageSeed: 7,
+			Faults: Faults{OutageRate: rate, OutageDuration: 90, OutageSeed: 7},
 		}, w)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +71,7 @@ func TestOutageDeterministic(t *testing.T) {
 		w := fanWorkflow(t, 24, 45, 50*units.MB)
 		res, err := Run(e, Options{
 			Cluster: c, Storage: sys,
-			OutageRate: 30, OutageDuration: 60, OutageSeed: seed,
+			Faults: Faults{OutageRate: 30, OutageDuration: 60, OutageSeed: seed},
 		}, w)
 		if err != nil {
 			t.Fatal(err)
@@ -99,8 +100,10 @@ func TestCheckpointRestartPreservesProgress(t *testing.T) {
 		w := fanWorkflow(t, 16, 120, 256*units.MB)
 		res, err := Run(e, Options{
 			Cluster: c, Storage: sys,
-			FailureRate: 0.4, FailureSeed: 11, MaxRetries: 3,
-			CheckpointInterval: interval,
+			Faults: Faults{
+				FailureRate: 0.4, FailureSeed: 11, MaxRetries: 3,
+				CheckpointInterval: interval,
+			},
 		}, w)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +137,7 @@ func TestCheckpointOverheadWithoutFailures(t *testing.T) {
 	run := func(interval float64) *Result {
 		e, c, sys := deploy(t, "nfs", 2)
 		w := fanWorkflow(t, 16, 90, 512*units.MB)
-		res, err := Run(e, Options{Cluster: c, Storage: sys, CheckpointInterval: interval}, w)
+		res, err := Run(e, Options{Cluster: c, Storage: sys, Faults: Faults{CheckpointInterval: interval}}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,18 +160,21 @@ func TestCheckpointOverheadWithoutFailures(t *testing.T) {
 func TestOutageValidation(t *testing.T) {
 	w := chainWorkflow(t, 1, 1)
 	for _, tc := range []struct {
-		name           string
-		rate, interval float64
+		name                string
+		rate, dur, interval float64
 	}{
-		{"negative outage rate", -1, 0},
-		{"NaN outage rate", math.NaN(), 0},
-		{"negative checkpoint interval", 0, -5},
-		{"NaN checkpoint interval", 0, math.NaN()},
+		{"negative outage rate", -1, 0, 0},
+		{"NaN outage rate", math.NaN(), 0, 0},
+		{"infinite outage rate", math.Inf(1), 0, 0},
+		{"NaN outage duration", 1, math.NaN(), 0},
+		{"negative checkpoint interval", 0, 0, -5},
+		{"NaN checkpoint interval", 0, 0, math.NaN()},
 	} {
 		e, c, sys := deploy(t, "local", 1)
-		opts := Options{Cluster: c, Storage: sys, OutageRate: tc.rate, CheckpointInterval: tc.interval}
-		if _, err := Run(e, opts, w); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		opts := Options{Cluster: c, Storage: sys, Faults: Faults{OutageRate: tc.rate, OutageDuration: tc.dur, CheckpointInterval: tc.interval}}
+		var fe *FaultError
+		if _, err := Run(e, opts, w); !errors.As(err, &fe) {
+			t.Errorf("%s gave %v, want a *FaultError", tc.name, err)
 		}
 	}
 }

@@ -27,21 +27,6 @@ const (
 	submitDelay  = 0.010
 	startLatency = 0.40
 
-	// DefaultMaxRetries is DAGMan's RETRY default, applied when
-	// Options.MaxRetries is zero and failures are injected.
-	DefaultMaxRetries = 3
-	// DefaultFailureSeed seeds the injection RNG when Options.FailureSeed
-	// is zero, keeping failure runs deterministic by default.
-	DefaultFailureSeed = 0xFA11
-
-	// DefaultOutageDuration is the mean outage length (seconds) when
-	// Options.OutageRate is set without a duration: roughly an EC2
-	// instance reboot-and-recontextualize cycle.
-	DefaultOutageDuration = 120.0
-	// DefaultOutageSeed seeds the outage schedule when Options.OutageSeed
-	// is zero, keeping outage runs deterministic by default.
-	DefaultOutageSeed = 0xDEAD
-
 	// defaultCheckpointBytes sizes a checkpoint when the task declares no
 	// peak memory (a checkpoint dumps the task's resident state).
 	defaultCheckpointBytes = 64 * units.MB
@@ -56,40 +41,9 @@ type Options struct {
 	// idle slots prefer ready jobs whose inputs live on their node.
 	DataAware bool
 
-	// FailureRate injects transient task failures with the given
-	// per-attempt probability (spot hiccups, OOM kills, flaky NFS
-	// mounts). A failed attempt burns a random fraction of the task's
-	// runtime, then DAGMan re-queues it, exactly as Condor/DAGMan retry
-	// semantics work. Zero (the default, and the paper's setting)
-	// disables injection.
-	FailureRate float64
-	// MaxRetries bounds re-executions per task when FailureRate > 0
-	// (DAGMan's RETRY). Zero means the DAGMan default of 3; it must not
-	// be negative when failures are injected, and is ignored otherwise.
-	MaxRetries int
-	// FailureSeed makes injection deterministic; zero uses a fixed seed.
-	FailureSeed uint64
-
-	// OutageRate injects correlated node outages at the given expected
-	// rate per node per hour: the whole node drops offline (spot
-	// reclamation, hardware retirement), its in-flight attempts are
-	// killed and re-queued, its slots stop requesting work, and data it
-	// owns is unreadable until it recovers. Zero disables outages.
-	OutageRate float64
-	// OutageDuration is the mean outage length in seconds; zero means
-	// DefaultOutageDuration. Only meaningful when OutageRate > 0.
-	OutageDuration float64
-	// OutageSeed makes the outage schedule deterministic; zero uses a
-	// fixed seed.
-	OutageSeed uint64
-
-	// CheckpointInterval makes tasks write a checkpoint (sized by their
-	// peak memory) through the storage system every interval seconds of
-	// computation, and lets a re-queued attempt resume from its last
-	// checkpoint instead of from zero. Checkpoint traffic competes for
-	// the same storage bandwidth the workflow's own I/O uses. Zero (the
-	// paper's setting) disables checkpointing.
-	CheckpointInterval float64
+	// Faults layers failure injection, node outages and checkpointing
+	// on the run; the zero value is the paper's failure-free setting.
+	Faults
 
 	// Recorder, when non-nil, receives the run's structured event stream
 	// (task attempts, transfers, outages, checkpoints, node state) as it
@@ -177,23 +131,10 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 	if opts.Cluster == nil || opts.Storage == nil {
 		return nil, fmt.Errorf("wms: options need both a cluster and a storage system")
 	}
-	// The knobs are negated comparisons so NaN fails them too: a NaN
-	// rate or interval would otherwise switch its feature off silently.
-	if !(opts.CheckpointInterval >= 0) {
-		return nil, fmt.Errorf("wms: checkpoint interval %g is not a non-negative number", opts.CheckpointInterval)
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, err
 	}
-	if !(opts.OutageRate >= 0) {
-		return nil, fmt.Errorf("wms: outage rate %g is not a non-negative number", opts.OutageRate)
-	}
-	if !(opts.FailureRate >= 0) {
-		return nil, fmt.Errorf("wms: failure rate %g is not a non-negative number", opts.FailureRate)
-	}
-	if opts.FailureRate >= 1 {
-		return nil, fmt.Errorf("wms: failure rate %g leaves no chance of progress", opts.FailureRate)
-	}
-	if opts.FailureRate > 0 && opts.MaxRetries < 0 {
-		return nil, fmt.Errorf("wms: negative retry bound %d", opts.MaxRetries)
-	}
+	opts.Faults = opts.Faults.Resolved()
 	// Check every task can ever run: memory demand must fit some node.
 	for _, t := range w.Tasks {
 		need := cluster.MemoryMB(t.PeakMemory)
@@ -224,27 +165,11 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		run.tries = make(map[*workflow.Task]int, len(w.Tasks))
 	}
 	if opts.FailureRate > 0 {
-		seed := opts.FailureSeed
-		if seed == 0 {
-			seed = DefaultFailureSeed
-		}
-		run.failRand = rng.New(seed)
-		run.maxRetries = opts.MaxRetries
-		if run.maxRetries == 0 {
-			run.maxRetries = DefaultMaxRetries
-		}
+		run.failRand = rng.New(opts.FailureSeed)
 		run.attempts = make(map[*workflow.Task]int)
 	}
 	if opts.OutageRate > 0 {
-		dur := opts.OutageDuration
-		if dur == 0 {
-			dur = DefaultOutageDuration
-		}
-		seed := opts.OutageSeed
-		if seed == 0 {
-			seed = DefaultOutageSeed
-		}
-		sched, err := outage.New(outage.Config{Rate: opts.OutageRate, Duration: dur, Seed: seed})
+		sched, err := outage.New(outage.Config{Rate: opts.OutageRate, Duration: opts.OutageDuration, Seed: opts.OutageSeed})
 		if err != nil {
 			return nil, fmt.Errorf("wms: %w", err)
 		}
@@ -277,11 +202,10 @@ type execution struct {
 	result *Result
 
 	// Failure injection (nil failRand disables it). Failures are
-	// transient: once a task has exhausted maxRetries failed attempts it
-	// runs clean, so workflows always complete.
-	failRand   *rng.RNG
-	maxRetries int
-	attempts   map[*workflow.Task]int
+	// transient: once a task has exhausted opts.MaxRetries failed
+	// attempts it runs clean, so workflows always complete.
+	failRand *rng.RNG
+	attempts map[*workflow.Task]int
 
 	// Correlated outages (nil outages disables them). Per-node daemons
 	// walk the deterministic schedule; running tracks in-flight attempts
@@ -649,7 +573,7 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
 
 	cpu := full - resume
 	failAt := -1.0
-	if x.failRand != nil && x.attempts[t] < x.maxRetries &&
+	if x.failRand != nil && x.attempts[t] < x.opts.MaxRetries &&
 		x.failRand.Float64() < x.opts.FailureRate {
 		// Transient failure: the attempt dies a random fraction into its
 		// (remaining) computation, the slot is freed, and DAGMan
