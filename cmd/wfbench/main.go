@@ -47,6 +47,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/harness"
 	"ec2wfsim/internal/resultcache"
 	"ec2wfsim/internal/scenario"
@@ -81,18 +82,17 @@ func main() {
 	eventsDir := flag.String("events-dir", "", "with -spec: record each cell's event log (.wfevt) into this directory")
 	flag.Parse()
 
-	harness.SetParallel(*parallel)
-	if err := run(&spec, *specPath, *eventsDir, *cacheDir, *fig, *table1, *diskTable, *ablation, *csvPath, *jsonPath, *seeds, *progress); err != nil {
+	if err := run(&spec, *specPath, *eventsDir, *cacheDir, *fig, *table1, *diskTable, *ablation, *csvPath, *jsonPath, *seeds, *parallel, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "wfbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, table1, diskTable bool, ablation, csvPath, jsonPath string, seeds int, progress bool) error {
+func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, table1, diskTable bool, ablation, csvPath, jsonPath string, seeds, parallel int, progress bool) error {
 	if err := spec.Faults.Validate(); err != nil {
 		return err
 	}
-	opt := harness.SweepOptions{Seeds: seeds}
+	opt := harness.SweepOptions{Seeds: seeds, Parallel: parallel}
 	if progress {
 		opt.Progress = printProgress
 	}
@@ -239,9 +239,8 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 
 // runSpec runs a serialized experiment — a single cell or a whole grid,
 // optionally replicated — and prints one indented JSON row per cell to
-// stdout in grid order. Single-measurement specs stream rows while the
-// sweep runs; specs with seeds > 1 print their aggregated
-// (mean/stddev) rows once every replicate has finished. A single-cell
+// stdout in grid order, streaming each row while later cells run. Specs
+// with seeds > 1 print aggregated (mean/stddev) rows. A single-cell
 // spec reproduces the corresponding `wfsim -json` output byte for byte.
 // With eventsDir set, each cell's structured event log is additionally
 // recorded into that directory as a replayable .wfevt file.
@@ -260,16 +259,11 @@ func runSpec(path, eventsDir string, opt harness.SweepOptions) error {
 		if e.Seeds > 1 {
 			return fmt.Errorf("-events-dir records single executions; drop the spec's seeds")
 		}
-		return runSpecRecorded(cfgs, eventsDir, enc)
+		return runSpecRecorded(cfgs, eventsDir, opt.Parallel, enc)
 	}
-	if e.Seeds > 1 {
-		opt.Seeds = e.Seeds
-		return streamReps(cfgs, opt, func(r harness.Replicated) error {
-			return enc.Encode(r.JSONRow())
-		})
-	}
-	return streamRows(cfgs, opt, func(r *harness.RunResult) error {
-		return enc.Encode(r.JSONRow())
+	opt.Seeds = e.Seeds
+	return streamReps(cfgs, opt, func(r harness.Replicated) error {
+		return enc.Encode(jsonRow(r))
 	})
 }
 
@@ -277,11 +271,11 @@ func runSpec(path, eventsDir string, opt harness.SweepOptions) error {
 // sweep, writes one .wfevt per cell into dir, and prints the usual JSON
 // rows. File names are cell-ordinal plus the cell's identity, so a
 // grid's logs sort in grid order and pair naturally for wfreplay diff.
-func runSpecRecorded(cfgs []harness.RunConfig, dir string, enc *json.Encoder) error {
+func runSpecRecorded(cfgs []harness.RunConfig, dir string, parallel int, enc *json.Encoder) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	recorded, err := harness.SweepRecorded(cfgs, 0)
+	recorded, err := harness.SweepRecorded(cfgs, parallel)
 	if err != nil {
 		return err
 	}
@@ -312,17 +306,16 @@ func printProgress(u sweep.Update[harness.RunConfig, *harness.RunResult]) {
 		u.Done, u.Total, u.Config.App, u.Config.Storage, u.Config.Workers, status)
 }
 
-// gridWriter emits the export for one fully-swept grid. The emit
-// callbacks stream rows in sweep order (the sweep engine re-sequences
-// out-of-order completions), so exports are byte-identical at any
-// parallelism.
+// gridWriter emits the export for one grid. Rows stream through
+// streamReps in cell order while later cells run, so exports are
+// byte-identical at any parallelism.
 type gridWriter func(w io.Writer, cfgs []harness.RunConfig, opt harness.SweepOptions) error
 
 // writeGrid dumps the full (application x storage x nodes) grid — the
 // raw data behind every figure, ready for external analysis.
 func writeGrid(path string, opt harness.SweepOptions, write gridWriter) error {
 	var cfgs []harness.RunConfig
-	for _, app := range []string{"montage", "epigenome", "broadband"} {
+	for _, app := range apps.Names() {
 		cfgs = append(cfgs, harness.GridConfigs(app)...)
 	}
 	out := os.Stdout
@@ -348,40 +341,11 @@ func writeGrid(path string, opt harness.SweepOptions, write gridWriter) error {
 }
 
 func writeCSVRows(w io.Writer, cfgs []harness.RunConfig, opt harness.SweepOptions) error {
-	cw := csv.NewWriter(w)
-	if opt.Seeds > 1 {
-		header := []string{"app", "storage", "nodes", "seeds",
-			"makespan_mean_s", "makespan_stddev_s", "makespan_min_s", "makespan_max_s",
-			"cost_per_hour_mean", "cost_per_hour_stddev",
-			"cost_per_second_mean", "cost_per_second_stddev",
-			"utilization_mean"}
-		if err := cw.Write(header); err != nil {
-			return err
-		}
-		err := streamReps(cfgs, opt, func(r harness.Replicated) error {
-			row := []string{
-				r.Config.App, r.Config.Storage, fmt.Sprint(r.Config.Workers), fmt.Sprint(len(r.Runs)),
-				fmt.Sprintf("%.1f", r.Makespan.Mean), fmt.Sprintf("%.2f", r.Makespan.Stddev),
-				fmt.Sprintf("%.1f", r.Makespan.Min), fmt.Sprintf("%.1f", r.Makespan.Max),
-				fmt.Sprintf("%.2f", r.CostHour.Mean), fmt.Sprintf("%.4f", r.CostHour.Stddev),
-				fmt.Sprintf("%.4f", r.CostSecond.Mean), fmt.Sprintf("%.6f", r.CostSecond.Stddev),
-				fmt.Sprintf("%.3f", r.Utilization.Mean),
-			}
-			return cw.Write(row)
-		})
-		if err != nil {
-			return err
-		}
-		cw.Flush()
-		return cw.Error()
-	}
 	header := []string{"app", "storage", "nodes", "makespan_s", "cost_per_hour", "cost_per_second",
 		"utilization", "network_bytes", "s3_gets", "s3_puts", "cache_hits", "cache_misses"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	err := streamRows(cfgs, opt, func(r *harness.RunResult) error {
-		row := []string{
+	row := func(rep harness.Replicated) []string {
+		r := rep.Runs[0]
+		return []string{
 			r.Config.App, r.Config.Storage, fmt.Sprint(r.Config.Workers),
 			fmt.Sprintf("%.1f", r.Makespan),
 			fmt.Sprintf("%.2f", r.CostHour.Total()),
@@ -391,19 +355,39 @@ func writeCSVRows(w io.Writer, cfgs []harness.RunConfig, opt harness.SweepOption
 			fmt.Sprint(r.Stats.Gets), fmt.Sprint(r.Stats.Puts),
 			fmt.Sprint(r.Stats.CacheHits), fmt.Sprint(r.Stats.CacheMisses),
 		}
-		return cw.Write(row)
-	})
-	if err != nil {
+	}
+	if opt.Seeds > 1 {
+		header = []string{"app", "storage", "nodes", "seeds",
+			"makespan_mean_s", "makespan_stddev_s", "makespan_min_s", "makespan_max_s",
+			"cost_per_hour_mean", "cost_per_hour_stddev",
+			"cost_per_second_mean", "cost_per_second_stddev",
+			"utilization_mean"}
+		row = func(r harness.Replicated) []string {
+			return []string{
+				r.Config.App, r.Config.Storage, fmt.Sprint(r.Config.Workers), fmt.Sprint(len(r.Runs)),
+				fmt.Sprintf("%.1f", r.Makespan.Mean), fmt.Sprintf("%.2f", r.Makespan.Stddev),
+				fmt.Sprintf("%.1f", r.Makespan.Min), fmt.Sprintf("%.1f", r.Makespan.Max),
+				fmt.Sprintf("%.2f", r.CostHour.Mean), fmt.Sprintf("%.4f", r.CostHour.Stddev),
+				fmt.Sprintf("%.4f", r.CostSecond.Mean), fmt.Sprintf("%.6f", r.CostSecond.Stddev),
+				fmt.Sprintf("%.3f", r.Utilization.Mean),
+			}
+		}
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	if err := streamReps(cfgs, opt, func(r harness.Replicated) error { return cw.Write(row(r)) }); err != nil {
 		return err
 	}
 	cw.Flush()
 	return cw.Error()
 }
 
-// streamReps sweeps replicated cells and emits each aggregation while
-// later cells (and their replicates) are still running. SweepSeeds
-// already delivers OnCell in cell order, so the export is byte-identical
-// at any parallelism, including replicate-level splits of one cell.
+// streamReps sweeps the cells and emits each one while later cells (and
+// their replicates) are still running. SweepSeeds delivers OnCell in
+// cell order, so the export is byte-identical at any parallelism,
+// including replicate-level splits of one cell.
 func streamReps(cfgs []harness.RunConfig, opt harness.SweepOptions, emit func(harness.Replicated) error) error {
 	var emitErr error
 	prev := opt.OnCell
@@ -421,43 +405,20 @@ func streamReps(cfgs []harness.RunConfig, opt harness.SweepOptions, emit func(ha
 	return emitErr
 }
 
-// streamRows sweeps the cells and emits each result as soon as every
-// earlier row is out: rows stream during the sweep, in sweep order, so
-// the export is byte-identical at any parallelism.
-func streamRows(cfgs []harness.RunConfig, opt harness.SweepOptions, emit func(*harness.RunResult) error) error {
-	var emitErr error
-	ord := sweep.NewOrdered[*harness.RunResult](func(_ int, r *harness.RunResult) {
-		if emitErr == nil && r != nil {
-			emitErr = emit(r)
-		}
-	})
-	prev := opt.Progress
-	opt.Progress = func(u sweep.Update[harness.RunConfig, *harness.RunResult]) {
-		if prev != nil {
-			prev(u)
-		}
-		if u.Err != nil {
-			ord.Add(u.Index, nil)
-			return
-		}
-		ord.Add(u.Index, u.Result)
-	}
-	if _, err := harness.Sweep(cfgs, opt); err != nil {
-		return err
-	}
-	return emitErr
-}
-
 func writeJSONRows(w io.Writer, cfgs []harness.RunConfig, opt harness.SweepOptions) error {
 	enc := json.NewEncoder(w)
-	if opt.Seeds > 1 {
-		return streamReps(cfgs, opt, func(r harness.Replicated) error {
-			return enc.Encode(r.JSONRow())
-		})
-	}
-	return streamRows(cfgs, opt, func(r *harness.RunResult) error {
-		return enc.Encode(r.JSONRow())
+	return streamReps(cfgs, opt, func(r harness.Replicated) error {
+		return enc.Encode(jsonRow(r))
 	})
+}
+
+// jsonRow is a cell's JSON export row: the run's own metrics at one
+// seed, the replicate aggregation at more.
+func jsonRow(r harness.Replicated) any {
+	if len(r.Runs) == 1 {
+		return r.Runs[0].JSONRow()
+	}
+	return r.JSONRow()
 }
 
 func printTableI() error {
@@ -469,22 +430,23 @@ func printTableI() error {
 	return nil
 }
 
+// printFigure prints one figure: a runtime figure (2-4), or the cost
+// figure (5-7) that the same grid sweep renders.
 func printFigure(fig int, opt harness.SweepOptions) error {
-	if fig >= 2 && fig <= 4 {
-		out, _, err := harness.RuntimeFigureSweep(fig, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
+	if fig < 2 || fig > 7 {
+		return fmt.Errorf("figure %d not in the paper (want 2-7)", fig)
 	}
-	if fig >= 5 && fig <= 7 {
-		out, _, err := harness.CostFigureSweep(fig, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
+	cost := fig > 4
+	if cost {
+		fig -= 3
 	}
-	return fmt.Errorf("figure %d not in the paper (want 2-7)", fig)
+	runtimeOut, costOut, _, err := harness.GridFigures(fig, opt)
+	if err != nil {
+		return err
+	}
+	if cost {
+		runtimeOut = costOut
+	}
+	fmt.Print(runtimeOut)
+	return nil
 }

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -120,14 +121,12 @@ func run(spec *scenario.Spec, specPath, emitSpec, cacheDir string, seeds, parall
 		}
 		res = rs[0]
 	} else if eventsPath != "" {
-		var f *os.File
-		f, err = os.Create(eventsPath)
-		if err != nil {
-			return err
-		}
-		res, err = harness.RunRecorded(cfg, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		// Record into memory and write the file only once the run
+		// succeeds, so a rejected run leaves no truncated log behind.
+		var buf bytes.Buffer
+		res, err = harness.RunRecorded(cfg, &buf)
+		if err == nil {
+			err = os.WriteFile(eventsPath, buf.Bytes(), 0o644)
 		}
 	} else {
 		res, err = harness.Run(cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/disk"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/units"
@@ -204,7 +205,7 @@ func workerTypeCells() []ablationCell {
 		{"8 x m1.large", "m1.large", 8},
 	}
 	var cells []ablationCell
-	for _, app := range []string{"montage", "epigenome", "broadband"} {
+	for _, app := range apps.Names() {
 		for _, cfg := range configs {
 			cells = append(cells, ablationCell{
 				label: app + ": " + cfg.label,

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/units"
@@ -69,7 +70,7 @@ func (o *FailureStudyOptions) normalize() {
 	}
 	o.Rates = normalizeRates(o.Rates)
 	if len(o.Apps) == 0 {
-		o.Apps = []string{"montage", "epigenome", "broadband"}
+		o.Apps = apps.Names()
 	}
 	if len(o.Storages) == 0 {
 		o.Storages = FailureStudyStorages()

@@ -10,32 +10,30 @@ import (
 	"ec2wfsim/internal/wfprof"
 )
 
-// appForFigure maps the paper's runtime figures to applications.
+// appForFigure maps the paper's runtime figures to applications; cost
+// figures 5-7 follow runtime figures 2-4.
 var appForFigure = map[int]string{
 	2: "montage",
 	3: "epigenome",
 	4: "broadband",
-	5: "montage",
-	6: "epigenome",
-	7: "broadband",
 }
 
 // TableI regenerates the paper's application resource-usage comparison.
 // The three application profiles dispatch through the sweep engine (one
-// cell per application) and share the cached paper-scale DAGs with the
-// figure grids.
+// profile per application, on every core) and share the cached
+// paper-scale DAGs with the figure grids.
 func TableI() (*report.Table, error) {
 	eng := &sweep.Engine[string, [4]string]{
 		Run: func(name string) ([4]string, error) {
-			w, err := paperWorkflow(name)
+			w, err := paperWorkflow(name, 0)
 			if err != nil {
 				return [4]string{}, err
 			}
 			p := wfprof.Analyze(w)
 			return [4]string{title(name), p.IOClass.String(), p.MemoryClass.String(), p.CPUClass.String()}, nil
 		},
-		Parallel: defaultParallel(),
 	}
+	// Table I's row order, not apps.Names()'s.
 	rows, err := eng.Map([]string{"montage", "broadband", "epigenome"})
 	if err != nil {
 		return nil, err
@@ -48,23 +46,6 @@ func TableI() (*report.Table, error) {
 		t.AddRow(row[0], row[1], row[2], row[3])
 	}
 	return t, nil
-}
-
-// gridReps sweeps an application's grid with opt.Seeds replicates per
-// cell. At Seeds <= 1 this degenerates to the paper's single-seed grid
-// (replicate 0 is the cell's own seed and stays memoized), so the
-// single- and multi-seed figure paths share one implementation.
-func gridReps(app string, opt SweepOptions) ([]Replicated, []Cell, error) {
-	cfgs := GridConfigs(app)
-	reps, err := SweepSeeds(cfgs, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	cells := make([]Cell, len(reps))
-	for i, rep := range reps {
-		cells[i] = Cell{System: cfgs[i].Storage, Workers: cfgs[i].Workers, Result: rep.Runs[0]}
-	}
-	return reps, cells, nil
 }
 
 // runtimeChart renders a runtime figure from a replicated grid, with
@@ -105,52 +86,26 @@ func costCharts(fig int, app string, reps []Replicated, cells []Cell) string {
 	return b.String()
 }
 
-// RuntimeFigureSweep regenerates Figure 2, 3 or 4: makespan for the
-// application across storage systems and cluster sizes, swept with opt
-// (parallelism, replication, progress callbacks). With opt.Seeds > 1 the
-// bars carry mean ± stddev error bands.
-func RuntimeFigureSweep(fig int, opt SweepOptions) (string, []Cell, error) {
-	app, ok := appForFigure[fig]
-	if !ok || fig > 4 {
-		return "", nil, fmt.Errorf("harness: runtime figures are 2-4, got %d", fig)
-	}
-	reps, cells, err := gridReps(app, opt)
-	if err != nil {
-		return "", nil, err
-	}
-	return runtimeChart(fig, app, reps, cells), cells, nil
-}
-
-// GridFigures renders a runtime figure (2-4) and its cost companion
-// (5-7) from one grid sweep, so multi-seed replicates — which are not
-// memoized — run once and feed both charts' error bars.
+// GridFigures regenerates a runtime figure (2-4) and its cost companion
+// (5-7) from one sweep of the application's grid, so multi-seed
+// replicates — which are not memoized — run once and feed both charts'
+// error bars. The cells are the grid's replicate-0 runs: at opt.Seeds
+// <= 1, the paper's single-seed grid.
 func GridFigures(fig int, opt SweepOptions) (runtime, cost string, cells []Cell, err error) {
 	app, ok := appForFigure[fig]
-	if !ok || fig > 4 {
+	if !ok {
 		return "", "", nil, fmt.Errorf("harness: runtime figures are 2-4, got %d", fig)
 	}
-	reps, cells, err := gridReps(app, opt)
+	cfgs := GridConfigs(app)
+	reps, err := SweepSeeds(cfgs, opt)
 	if err != nil {
 		return "", "", nil, err
 	}
+	cells = make([]Cell, len(reps))
+	for i, rep := range reps {
+		cells[i] = Cell{System: cfgs[i].Storage, Workers: cfgs[i].Workers, Result: rep.Runs[0]}
+	}
 	return runtimeChart(fig, app, reps, cells), costCharts(fig+3, app, reps, cells), cells, nil
-}
-
-// CostFigureSweep regenerates Figure 5, 6 or 7: per-hour and
-// per-second cost for the application across storage systems and
-// cluster sizes. The paper derives its cost figures from the runtime
-// grid's runs, so the memoized runtime cells are reused; with
-// opt.Seeds > 1 the bars carry mean ± stddev error bands.
-func CostFigureSweep(fig int, opt SweepOptions) (string, []Cell, error) {
-	app, ok := appForFigure[fig]
-	if !ok || fig < 5 {
-		return "", nil, fmt.Errorf("harness: cost figures are 5-7, got %d", fig)
-	}
-	reps, cells, err := gridReps(app, opt)
-	if err != nil {
-		return "", nil, err
-	}
-	return costCharts(fig, app, reps, cells), cells, nil
 }
 
 // DiskBench reproduces the Section III.C ephemeral-disk observations as a

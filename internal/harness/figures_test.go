@@ -35,18 +35,22 @@ func TestDiskBenchTable(t *testing.T) {
 
 func TestRuntimeFigureValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := RuntimeFigureSweep(5, SweepOptions{}); err == nil {
-		t.Error("RuntimeFigureSweep(5) should fail (cost figure)")
-	}
-	if _, _, err := RuntimeFigureSweep(1, SweepOptions{}); err == nil {
-		t.Error("RuntimeFigureSweep(1) should fail")
+	// Runtime figures are 2-4; no other number names a grid.
+	for _, fig := range []int{1, 8} {
+		if _, _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
+			t.Errorf("GridFigures(%d) should fail", fig)
+		}
 	}
 }
 
 func TestCostFigureValidation(t *testing.T) {
 	t.Parallel()
-	if _, _, err := CostFigureSweep(2, SweepOptions{}); err == nil {
-		t.Error("CostFigureSweep(2) should fail (runtime figure)")
+	// Cost figures 5-7 are the companions of runtime figures 2-4, rendered
+	// from the same sweep; they are not grid figures of their own.
+	for _, fig := range []int{5, 6, 7} {
+		if _, _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
+			t.Errorf("GridFigures(%d) should fail (cost figure)", fig)
+		}
 	}
 }
 

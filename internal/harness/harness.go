@@ -230,15 +230,10 @@ func GridConfigs(app string) []RunConfig {
 
 // Grid runs the full sweep of the paper's five systems (plus the local
 // baseline at one node) for an application, reusing pre-built workflows
-// via build so scaled-down instances stay cheap.
+// via build so scaled-down instances stay cheap. Cells run concurrently
+// through the sweep engine and come back in sweep order regardless of
+// scheduling.
 func Grid(app string, build func() (*workflow.Workflow, error)) ([]Cell, error) {
-	return GridSweep(app, build, SweepOptions{})
-}
-
-// GridSweep is Grid with explicit sweep options (parallelism, progress,
-// cache bypass). Cells run concurrently through the sweep engine and
-// come back in sweep order regardless of scheduling.
-func GridSweep(app string, build func() (*workflow.Workflow, error), opt SweepOptions) ([]Cell, error) {
 	cfgs := GridConfigs(app)
 	if build != nil {
 		for i := range cfgs {
@@ -249,7 +244,7 @@ func GridSweep(app string, build func() (*workflow.Workflow, error), opt SweepOp
 			cfgs[i].Workflow = w
 		}
 	}
-	results, err := Sweep(cfgs, opt)
+	results, err := Sweep(cfgs, SweepOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/units"
 	"ec2wfsim/internal/wms"
@@ -85,7 +86,7 @@ func (o *OutageStudyOptions) normalize() {
 		o.CheckpointInterval = DefaultOutageStudyCheckpoint
 	}
 	if len(o.Apps) == 0 {
-		o.Apps = []string{"montage", "epigenome", "broadband"}
+		o.Apps = apps.Names()
 	}
 	if len(o.Storages) == 0 {
 		o.Storages = OutageStudyStorages()

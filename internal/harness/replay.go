@@ -222,8 +222,7 @@ type RecordedCell struct {
 // bit-identical at any parallelism: each cell records into its own
 // buffer, so the worker pool's scheduling never interleaves streams.
 // Recorded cells bypass the process-wide memo cache — a cached result
-// has no event stream to return. parallel <= 0 uses the process
-// default (SetParallel, else GOMAXPROCS).
+// has no event stream to return. parallel <= 0 means GOMAXPROCS.
 func SweepRecorded(cfgs []RunConfig, parallel int) ([]RecordedCell, error) {
 	eng := &sweep.Engine[RunConfig, RecordedCell]{
 		Run: func(cfg RunConfig) (RecordedCell, error) {
@@ -234,12 +233,8 @@ func SweepRecorded(cfgs []RunConfig, parallel int) ([]RecordedCell, error) {
 			if err != nil {
 				return RecordedCell{}, err
 			}
-			if cfg.Workflow == nil && cfg.App != "" {
-				w, err := paperWorkflowSeeded(cfg.App, cfg.AppSeed)
-				if err != nil {
-					return RecordedCell{}, err
-				}
-				cfg.Workflow = w
+			if cfg, err = withPaperDAG(cfg); err != nil {
+				return RecordedCell{}, err
 			}
 			var buf bytes.Buffer
 			r, err := runRecorded(cfg, h, &buf)
@@ -249,7 +244,7 @@ func SweepRecorded(cfgs []RunConfig, parallel int) ([]RecordedCell, error) {
 			}
 			return RecordedCell{Result: r, Log: buf.Bytes()}, nil
 		},
-		Parallel: SweepOptions{Parallel: parallel}.parallel(),
+		Parallel: parallel,
 	}
 	return eng.Map(cfgs)
 }

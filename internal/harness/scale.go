@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/units"
 	"ec2wfsim/internal/workflow"
@@ -69,7 +70,7 @@ func (o *ScaleStudyOptions) normalize() {
 		o.Sizes = ScaleSizes()
 	}
 	if len(o.Apps) == 0 {
-		o.Apps = []string{"montage", "epigenome", "broadband"}
+		o.Apps = apps.Names()
 	}
 	if len(o.Storages) == 0 {
 		o.Storages = ScaleStudyStorages()

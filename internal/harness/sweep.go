@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"ec2wfsim/internal/apps"
 	"ec2wfsim/internal/resultcache"
@@ -26,32 +24,12 @@ import (
 var (
 	cellMemo  = sweep.NewMemo[*RunResult]()
 	paperApps = sweep.NewMemo[*workflow.Workflow]()
-
-	// parallelism is the default worker count for sweeps; zero means
-	// GOMAXPROCS. CLIs set it from -parallel.
-	parallelism atomic.Int64
 )
-
-// SetParallel sets the default sweep parallelism; n <= 0 restores the
-// GOMAXPROCS default.
-func SetParallel(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int64(n))
-}
-
-func defaultParallel() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // SweepOptions configure a batch of experiment cells.
 type SweepOptions struct {
-	// Parallel bounds concurrent cells; <= 0 uses SetParallel's value
-	// (default GOMAXPROCS).
+	// Parallel bounds concurrent cells and replicates; <= 0 means
+	// GOMAXPROCS. It is the only parallelism setting of the harness.
 	Parallel int
 	// Seeds is the replicate count for SweepSeeds; <= 0 means 1.
 	// Replicate 0 always uses the cell's own seed, so paper numbers are
@@ -66,24 +44,18 @@ type SweepOptions struct {
 	// carry no execution trace (nil Spans/Cluster) — see
 	// internal/resultcache and the note in cache.go.
 	Cache *resultcache.Store
-	// Progress, if set, is called per completed cell in completion order.
+	// Progress, if set, is called per completed replicate (per cell at
+	// one seed) in completion order.
 	Progress func(sweep.Update[RunConfig, *RunResult])
-	// OnCell, if set, streams SweepSeeds aggregations while the sweep
-	// runs: it is called once per cell whose replicates all finished,
-	// in cell (input) order, so aggregated exports can stream rows with
-	// byte-identical output at any parallelism. Calls are serialized.
+	// OnCell, if set, streams SweepSeeds results while the sweep runs:
+	// it is called once per cell whose replicates all succeeded, in cell
+	// (input) order, so exports can stream rows with byte-identical
+	// output at any parallelism. Calls are serialized. Sweep ignores it.
 	OnCell func(cell int, rep Replicated)
 	// Ctx, if set, cancels the sweep: no new cell starts once it is
 	// done, in-flight cells finish and report to Progress, and Sweep
 	// returns Ctx.Err(). Nil means never canceled.
 	Ctx context.Context
-}
-
-func (o SweepOptions) parallel() int {
-	if o.Parallel > 0 {
-		return o.Parallel
-	}
-	return defaultParallel()
 }
 
 // engine builds the shared sweep engine for these options: the cell
@@ -98,7 +70,7 @@ func (o SweepOptions) engine() *sweep.Engine[RunConfig, *RunResult] {
 	eng := &sweep.Engine[RunConfig, *RunResult]{
 		Run:      run,
 		Key:      CellKey,
-		Parallel: o.parallel(),
+		Parallel: o.Parallel,
 		Progress: o.Progress,
 	}
 	if !o.NoMemo {
@@ -145,13 +117,8 @@ func CellSeed(cfg RunConfig, replicate int) uint64 {
 }
 
 // paperWorkflow returns the shared paper-scale DAG for an application
-// with its default runtime-jitter seed.
-func paperWorkflow(app string) (*workflow.Workflow, error) {
-	return paperWorkflowSeeded(app, 0)
-}
-
-// paperWorkflowSeeded caches one DAG per (application, jitter seed).
-func paperWorkflowSeeded(app string, seed uint64) (*workflow.Workflow, error) {
+// and runtime-jitter seed, built once per process.
+func paperWorkflow(app string, seed uint64) (*workflow.Workflow, error) {
 	key := fmt.Sprintf("%s|%d", app, seed)
 	w, err, _ := paperApps.Do(key, func() (*workflow.Workflow, error) {
 		return apps.PaperScaleSeeded(app, seed)
@@ -159,18 +126,25 @@ func paperWorkflowSeeded(app string, seed uint64) (*workflow.Workflow, error) {
 	return w, err
 }
 
-// runCell executes one cell, substituting the shared paper-scale
-// workflow when none is given (Run would otherwise rebuild the DAG per
-// cell).
+// withPaperDAG substitutes the shared paper-scale DAG into a
+// replicate-0 catalog cell, so a sweep's cells share one immutable
+// workflow. Derived replicates use their per-seed DAG once, so Run
+// builds (and drops) it. Run, RunRecorded and Replay build their own
+// DAG, so a library caller looping over seeds keeps none alive.
+func withPaperDAG(cfg RunConfig) (RunConfig, error) {
+	if cfg.Workflow != nil || cfg.App == "" || cfg.Replicate > 0 {
+		return cfg, nil
+	}
+	w, err := paperWorkflow(cfg.App, cfg.AppSeed)
+	cfg.Workflow = w
+	return cfg, err
+}
+
+// runCell executes one sweep cell on the shared paper-scale DAG.
 func runCell(cfg RunConfig) (*RunResult, error) {
-	if cfg.Workflow == nil && cfg.App != "" && cfg.Replicate == 0 {
-		// Derived replicates skip the DAG cache too: their per-seed
-		// workflow is used once, so Run builds (and drops) it instead.
-		w, err := paperWorkflowSeeded(cfg.App, cfg.AppSeed)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Workflow = w
+	cfg, err := withPaperDAG(cfg)
+	if err != nil {
+		return nil, err
 	}
 	r, err := Run(cfg)
 	if err != nil {
@@ -191,24 +165,23 @@ func validateCells(cfgs []RunConfig) error {
 	return nil
 }
 
-// Sweep runs a batch of cells concurrently and returns results in input
-// order, bit-for-bit identical at any parallelism. Cells already in the
+// Sweep is SweepSeeds at one seed: it runs a batch of cells
+// concurrently and returns each cell's result in input order,
+// bit-for-bit identical at any parallelism. Cells already in the
 // process-wide cache are not re-run; every returned result is a private
 // copy, safe for the caller to mutate. With opt.Ctx set, cancellation
 // stops the sweep promptly: completed cells still reach opt.Progress,
-// and Sweep returns the context's error.
+// and Sweep returns the context's error. opt.Seeds and opt.OnCell are
+// ignored.
 func Sweep(cfgs []RunConfig, opt SweepOptions) ([]*RunResult, error) {
-	if err := validateCells(cfgs); err != nil {
-		return nil, err
-	}
-	results, err := opt.engine().MapCtx(opt.ctx(), cfgs)
+	opt.Seeds, opt.OnCell = 1, nil
+	reps, err := SweepSeeds(cfgs, opt)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*RunResult, len(results))
-	for i, r := range results {
-		c := *r // shallow copy: Cluster/Spans/Workflow are shared read-only
-		out[i] = &c
+	out := make([]*RunResult, len(reps))
+	for i, rep := range reps {
+		out[i] = rep.Runs[0]
 	}
 	return out, nil
 }

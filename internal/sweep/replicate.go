@@ -17,8 +17,8 @@ import "context"
 //
 // reduce, if non-nil, streams per-cell reductions while the sweep runs:
 // it is called once per cell whose replicates all succeeded, in cell
-// order (an out-of-order cell completion is buffered until every
-// earlier cell has been reduced), with that cell's runs in seed-index
+// order (a cell that finishes early is reduced once every earlier cell
+// has been reduced or skipped), with that cell's runs in seed-index
 // order. Calls are serialized; reduce must not call back into the
 // engine. Cells with a failed replicate are skipped, and the first
 // error — by flattened (cell, replicate) index, so error reporting is
@@ -45,16 +45,9 @@ func (e *Engine[C, R]) MapReplicates(ctx context.Context, cells []C, seeds int,
 		remaining[i] = seeds
 	}
 
-	// Stream reductions in cell order: a completed cell enters the
-	// ordered emitter, which buffers it until every earlier cell is out.
-	var ord *Ordered[int]
-	if reduce != nil {
-		ord = NewOrdered[int](func(cell int, _ int) {
-			if !failed[cell] {
-				reduce(cell, byCell[cell])
-			}
-		})
-	}
+	// next is the first cell not yet reduced or skipped, so reductions
+	// run in cell order.
+	next := 0
 
 	// Shadow the engine so the caller's Progress still sees every
 	// replicate completion (flattened index) while this layer tracks
@@ -68,15 +61,18 @@ func (e *Engine[C, R]) MapReplicates(ctx context.Context, cells []C, seeds int,
 		cell := u.Index / seeds
 		rep := u.Index % seeds
 		// Progress calls are serialized by MapCtx, so the per-cell
-		// bookkeeping needs no further locking.
+		// bookkeeping and the cursor need no further locking.
 		if u.Err != nil {
 			failed[cell] = true
 		} else {
 			byCell[cell][rep] = u.Result
 		}
 		remaining[cell]--
-		if remaining[cell] == 0 && ord != nil {
-			ord.Add(cell, cell)
+		for reduce != nil && next < len(cells) && remaining[next] == 0 {
+			if !failed[next] {
+				reduce(next, byCell[next])
+			}
+			next++
 		}
 	}
 

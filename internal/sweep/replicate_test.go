@@ -211,6 +211,30 @@ func TestMapReplicatesCanceledContext(t *testing.T) {
 	}
 }
 
+func TestMapReplicatesCanceledMidSweep(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cells := repCells(32)
+	e := &Engine[repUnit, int]{Run: runUnit, Parallel: 2}
+	var reduced []int
+	_, err := e.MapReplicates(ctx, cells, 2, deriveUnit, func(cell int, _ []int) {
+		reduced = append(reduced, cell)
+		cancel() // cancel from inside the stream, after the first cell
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(reduced) == 0 || len(reduced) >= len(cells) {
+		t.Fatalf("reduced %d of %d cells, want a proper non-empty prefix", len(reduced), len(cells))
+	}
+	for i, cell := range reduced {
+		if cell != i {
+			t.Fatalf("reduced cells %v: position %d got cell %d, want an in-order prefix from cell 0", reduced, i, cell)
+		}
+	}
+}
+
 func TestMapReplicatesSeedsDefaultToOne(t *testing.T) {
 	t.Parallel()
 	e := &Engine[repUnit, int]{Run: runUnit, Parallel: 1}

@@ -12,6 +12,11 @@
 // identical at any parallelism. Duplicate cells are memoized: a Key
 // function names each configuration, and a shared Memo guarantees every
 // distinct key runs exactly once even when requested concurrently.
+//
+// MapReplicates schedules the harness's sweeps: it fans each cell's
+// seeds out as independent work items and streams per-cell reductions
+// in cell order while the sweep runs, which is how exports write rows
+// during a sweep and stay byte-identical to a serial run.
 package sweep
 
 import (

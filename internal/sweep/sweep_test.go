@@ -232,25 +232,6 @@ func TestMapCtxStopsDispatchingMidSweep(t *testing.T) {
 	}
 }
 
-func TestOrderedEmitsContiguousPrefix(t *testing.T) {
-	t.Parallel()
-	var got []int
-	o := NewOrdered[int](func(i, v int) {
-		if i != len(got) {
-			t.Errorf("emitted index %d out of order", i)
-		}
-		got = append(got, v)
-	})
-	// Deliver completions out of order.
-	for _, i := range []int{3, 1, 0, 4, 2} {
-		o.Add(i, i*10)
-	}
-	want := []int{0, 10, 20, 30, 40}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("emitted %v, want %v", got, want)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	t.Parallel()
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})

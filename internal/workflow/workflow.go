@@ -199,33 +199,12 @@ func amountFault(v float64) string {
 	return ""
 }
 
-// checkAcyclic verifies the DAG via Kahn's algorithm.
+// checkAcyclic verifies the DAG: Kahn's walk (TopoOrder) reaches every
+// task only when there is no cycle.
 func (w *Workflow) checkAcyclic() error {
-	indeg := make(map[*Task]int, len(w.Tasks))
-	for _, t := range w.Tasks {
-		indeg[t] = len(t.parents)
-	}
-	var queue []*Task
-	for _, t := range w.Tasks {
-		if indeg[t] == 0 {
-			queue = append(queue, t)
-		}
-	}
-	visited := 0
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, c := range t.children {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if visited != len(w.Tasks) {
+	if n := len(w.TopoOrder()); n != len(w.Tasks) {
 		return fmt.Errorf("workflow %s: dependency cycle detected (%d of %d tasks reachable)",
-			w.Name, visited, len(w.Tasks))
+			w.Name, n, len(w.Tasks))
 	}
 	return nil
 }
