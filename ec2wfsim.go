@@ -355,7 +355,8 @@ func (e Experiment) MarshalSpec() ([]byte, error) {
 }
 
 // ParseSpec parses a JSON experiment spec (either a full experiment or
-// a bare single-cell spec) into an Experiment.
+// a bare single-cell spec) into an Experiment; axis numbers read as
+// json.Number.
 func ParseSpec(data []byte) (Experiment, error) {
 	se, err := scenario.Read(bytes.NewReader(data))
 	if err != nil {

@@ -33,11 +33,7 @@ func CacheKey(cfg RunConfig) (resultcache.Key, bool) {
 	if cfg.Workflow != nil {
 		return resultcache.Key{}, false
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	return resultcache.Key{Cell: scenario.Key(&cfg), Seed: seed}, true
+	return resultcache.Key{Cell: scenario.Key(&cfg), Seed: cfg.EffectiveSeed()}, true
 }
 
 // encodeRow renders a result's canonical cached payload.

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"ec2wfsim/internal/resultcache"
+	"ec2wfsim/internal/storage"
+	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
@@ -306,5 +308,34 @@ func TestWarmStoreRejectsBadKnob(t *testing.T) {
 	}
 	if hits, _ := warm.Stats(); hits != 0 {
 		t.Errorf("the store served %d hit(s) for a rejected configuration", hits)
+	}
+}
+
+// TestWarmStoreRejectsUnformableCell: a grid holding a cell its storage
+// system cannot form (gluster-nufa on one worker) fails SweepSeeds with
+// the catalog's typed error before any cell runs or the store is read,
+// even when the grid's other cells are warm.
+func TestWarmStoreRejectsUnformableCell(t *testing.T) {
+	dir := t.TempDir()
+	ok := RunConfig{App: "epigenome", Storage: "nfs", Workers: 2}
+	if _, err := Sweep([]RunConfig{ok}, SweepOptions{NoMemo: true, Cache: openTestCache(t, dir)}); err != nil {
+		t.Fatal(err)
+	}
+	warm := openTestCache(t, dir)
+	progressed := 0
+	grid := []RunConfig{ok, {App: "epigenome", Storage: "gluster-nufa", Workers: 1}}
+	_, err := SweepSeeds(grid, SweepOptions{
+		Seeds: 2, Cache: warm,
+		Progress: func(sweep.Update[RunConfig, *RunResult]) { progressed++ },
+	})
+	var we *storage.WorkersError
+	if !errors.As(err, &we) || we.System != "gluster-nufa" || we.Workers != 1 {
+		t.Errorf("SweepSeeds err = %v, want a *storage.WorkersError for gluster-nufa/1", err)
+	}
+	if progressed != 0 {
+		t.Errorf("%d cell(s) reported progress before the grid was rejected", progressed)
+	}
+	if hits, misses := warm.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("the store was read for a rejected grid: %d hit(s), %d miss(es)", hits, misses)
 	}
 }

@@ -141,29 +141,6 @@ func TestDiskInitAblationNotWorthIt(t *testing.T) {
 	}
 }
 
-func TestSupportsWorkersMatrix(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		sys     string
-		workers int
-		want    bool
-	}{
-		{"local", 1, true},
-		{"local", 2, false},
-		{"gluster-nufa", 1, false},
-		{"gluster-nufa", 2, true},
-		{"pvfs", 1, false},
-		{"s3", 1, true},
-		{"nfs", 1, true},
-		{"nope", 4, false},
-	}
-	for _, c := range cases {
-		if got := supportsWorkers(c.sys, c.workers); got != c.want {
-			t.Errorf("supportsWorkers(%s, %d) = %v, want %v", c.sys, c.workers, got, c.want)
-		}
-	}
-}
-
 func TestFindHelper(t *testing.T) {
 	t.Parallel()
 	cells := []Cell{{System: "s3", Workers: 2}, {System: "nfs", Workers: 4}}

@@ -83,8 +83,9 @@ func (r *RunResult) Completed() int {
 // Run executes one experiment cell at the requested scale. The spec is
 // validated up front, so an unknown application, storage system or
 // worker type — a typo in a spec file, say — fails with a typed
-// *scenario.UnknownNameError listing the valid names, and a fault knob
-// out of range with a *wms.FaultError.
+// *scenario.UnknownNameError listing the valid names, a worker count
+// the storage system cannot form with a *storage.WorkersError, and a
+// fault knob out of range with a *wms.FaultError.
 func Run(cfg RunConfig) (*RunResult, error) {
 	r, _, err := runWith(cfg, nil)
 	return r, err
@@ -100,9 +101,6 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	}
 	w := cfg.Workflow
 	if w == nil {
-		if err := scenario.ValidateApp(cfg.App); err != nil {
-			return nil, 0, err
-		}
 		var err error
 		w, err = apps.PaperScaleSeeded(cfg.App, cfg.AppSeed)
 		if err != nil {
@@ -113,10 +111,7 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
+	seed := cfg.EffectiveSeed()
 	workerType, err := cluster.TypeByName(cfg.WorkerType)
 	if err != nil {
 		return nil, 0, err
@@ -188,22 +183,6 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 // of resources (1-8 nodes corresponding to 8-64 cores)".
 func NodeCounts() []int { return []int{1, 2, 4, 8} }
 
-// supportsWorkers reports whether the system runs at that scale (GlusterFS
-// and PVFS need two nodes; local disk only one).
-func supportsWorkers(sysName string, workers int) bool {
-	sys, err := storage.ByName(sysName)
-	if err != nil {
-		return false
-	}
-	if workers < sys.MinWorkers() {
-		return false
-	}
-	if sysName == "local" && workers != 1 {
-		return false
-	}
-	return true
-}
-
 // Cell labels an (application, storage, workers) result in a figure grid.
 type Cell struct {
 	System  string
@@ -219,7 +198,7 @@ func GridConfigs(app string) []RunConfig {
 	var cfgs []RunConfig
 	for _, sysName := range systems {
 		for _, n := range NodeCounts() {
-			if !supportsWorkers(sysName, n) {
+			if storage.CheckWorkers(sysName, n) != nil {
 				continue
 			}
 			cfgs = append(cfgs, RunConfig{App: app, Storage: sysName, Workers: n})

@@ -33,14 +33,10 @@ func headerFor(cfg RunConfig) (eventlog.Header, error) {
 	if err != nil {
 		return eventlog.Header{}, fmt.Errorf("harness: encoding spec: %w", err)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
 	h := eventlog.Header{
 		CellKey: CellKey(cfg),
 		Spec:    specJSON,
-		Seed:    seed,
+		Seed:    cfg.EffectiveSeed(),
 	}
 	if cfg.Workflow != nil {
 		var buf bytes.Buffer

@@ -31,23 +31,13 @@ func replayWorkflow(t *testing.T) *workflow.Workflow {
 	return w
 }
 
-// replayWorkers picks a worker count the backend supports: its minimum,
-// at least 2 so the schedule is genuinely concurrent, except local
-// which requires exactly one node.
-func replayWorkers(t *testing.T, name string) int {
-	t.Helper()
-	sys, err := storage.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name == "local" {
+// replayWorkers picks a worker count the backend supports: 2, so the
+// schedule is genuinely concurrent, except local, which runs on one.
+func replayWorkers(name string) int {
+	if storage.CheckWorkers(name, 2) != nil {
 		return 1
 	}
-	n := sys.MinWorkers()
-	if n < 2 {
-		n = 2
-	}
-	return n
+	return 2
 }
 
 // TestReplayVerifyAllBackends is the acceptance bar for the replay
@@ -62,7 +52,7 @@ func TestReplayVerifyAllBackends(t *testing.T) {
 			t.Parallel()
 			cfg := RunConfig{
 				App: "montage", Storage: name,
-				Workers: replayWorkers(t, name), Workflow: w,
+				Workers: replayWorkers(name), Workflow: w,
 			}
 			var buf bytes.Buffer
 			if _, err := RunRecorded(cfg, &buf); err != nil {

@@ -319,15 +319,11 @@ type ResultJSON struct {
 
 // JSONRow flattens a result for machine-readable export.
 func (r *RunResult) JSONRow() ResultJSON {
-	seed := r.Config.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
 	return ResultJSON{
 		App:          r.Config.App,
 		Storage:      r.Config.Storage,
 		Workers:      r.Config.Workers,
-		Seed:         seed,
+		Seed:         r.Config.EffectiveSeed(),
 		MakespanS:    r.Makespan,
 		ProvisionS:   r.ProvisionTime,
 		CostPerHour:  r.CostHour.Total(),

@@ -9,9 +9,10 @@ import (
 )
 
 // Axis varies one spec field (by its JSON name) across a list of
-// values. Values are held as `any` so the same Axis round-trips
-// through JSON (numbers decode as float64) and accepts typed Go values
-// from API callers; SetField coerces both.
+// values. Values are held as `any` so an Axis takes typed Go values
+// from API callers as well as values read from a spec file (numbers
+// read as json.Number). SetField decodes each one as the same key of a
+// spec file.
 type Axis struct {
 	Field  string `json:"field"`
 	Values []any  `json:"values"`
@@ -108,8 +109,13 @@ func ReadFile(path string) (Experiment, error) {
 	return e, nil
 }
 
+// strictUnmarshal is the spec decoder: unknown keys are errors, and a
+// number held as `any` (an axis value) keeps its exact text as a
+// json.Number, so it decodes into its field as the same literal in a
+// spec's base would (a seed above 2^53 does not round through float64).
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
+	dec.UseNumber()
 	return dec.Decode(v)
 }

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,12 +24,13 @@ import (
 //     or none — knob groups are excluded so a knob cell's replicates
 //     share jitter seeds with its baseline and overheads stay paired;
 //   - reseed: how a derived replicate seed lands in its seed fields;
-//   - flags: the CLI flags it registers (RegisterFlags);
-//   - axes: the sweep axes it exposes, keyed by Spec JSON field name.
+//   - flags: the CLI flags it registers (RegisterFlags).
 //
-// Adding a scenario knob means adding one group (or one entry to an
-// existing group) — memoization, replication, CLI parity and grid axes
-// all follow from this table.
+// Groups declare no grid axes: every Spec JSON key is one (AxisFields),
+// and an axis value decodes as that key does in a spec file (SetField).
+// Adding a scenario knob means adding its Spec field and one group (or
+// one entry to an existing group) — memoization, replication, CLI
+// parity and grid axes all follow.
 type group struct {
 	name     string
 	identity bool // names the cell (vs tunes a knob); identity flags are wfsim-only
@@ -34,7 +38,6 @@ type group struct {
 	pairKey  func(s *Spec) (string, bool)
 	reseed   func(s *Spec, derived uint64)
 	flags    func(fs *flag.FlagSet, s *Spec)
-	axes     map[string]func(s *Spec, v any) error
 }
 
 // Replicate-seed salts decorrelate a replicate's failure-injection and
@@ -64,11 +67,6 @@ var groups = []group{
 			fs.StringVar(&s.Storage, "storage", s.Storage, "storage system: "+strings.Join(storage.Names(), ", "))
 			fs.IntVar(&s.Workers, "nodes", s.Workers, "number of worker nodes")
 		},
-		axes: map[string]func(s *Spec, v any) error{
-			"app":     func(s *Spec, v any) error { return setString(&s.App, "app", v) },
-			"storage": func(s *Spec, v any) error { return setString(&s.Storage, "storage", v) },
-			"workers": func(s *Spec, v any) error { return setInt(&s.Workers, "workers", v) },
-		},
 	},
 	{
 		name:     "workertype",
@@ -87,35 +85,20 @@ var groups = []group{
 			fs.StringVar(&s.WorkerType, "worker-type", s.WorkerType,
 				"worker instance type: "+strings.Join(cluster.TypeNames(), ", ")+"; empty = c1.xlarge")
 		},
-		axes: map[string]func(s *Spec, v any) error{
-			"worker_type": func(s *Spec, v any) error { return setString(&s.WorkerType, "worker_type", v) },
-		},
 	},
 	{
 		name:     "seed",
 		identity: true,
-		key: func(s *Spec) string {
-			seed := s.Seed
-			if seed == 0 {
-				seed = DefaultSeed
-			}
-			return fmt.Sprintf("seed=%d", seed)
-		},
-		reseed: func(s *Spec, derived uint64) { s.Seed = derived },
+		key:      func(s *Spec) string { return fmt.Sprintf("seed=%d", s.EffectiveSeed()) },
+		reseed:   func(s *Spec, derived uint64) { s.Seed = derived },
 		flags: func(fs *flag.FlagSet, s *Spec) {
 			fs.Uint64Var(&s.Seed, "seed", s.Seed, "provisioning jitter seed (0 = the fixed default)")
-		},
-		axes: map[string]func(s *Spec, v any) error{
-			"seed": func(s *Spec, v any) error { return setUint64(&s.Seed, "seed", v) },
 		},
 	},
 	{
 		name:   "appseed",
 		key:    func(s *Spec) string { return fmt.Sprintf("appseed=%d", s.AppSeed) },
 		reseed: func(s *Spec, derived uint64) { s.AppSeed = derived },
-		axes: map[string]func(s *Spec, v any) error{
-			"app_seed": func(s *Spec, v any) error { return setUint64(&s.AppSeed, "app_seed", v) },
-		},
 	},
 	{
 		name:     "scheduler",
@@ -124,9 +107,6 @@ var groups = []group{
 		pairKey:  func(s *Spec) (string, bool) { return fmt.Sprintf("%t", s.DataAware), true },
 		flags: func(fs *flag.FlagSet, s *Spec) {
 			fs.BoolVar(&s.DataAware, "data-aware", s.DataAware, "use the locality-aware scheduler (paper future work)")
-		},
-		axes: map[string]func(s *Spec, v any) error{
-			"data_aware": func(s *Spec, v any) error { return setBool(&s.DataAware, "data_aware", v) },
 		},
 	},
 	{
@@ -137,10 +117,6 @@ var groups = []group{
 		// Only the on/off bit pairs replicate seeds; the byte count
 		// never did (kept for hash compatibility).
 		pairKey: func(s *Spec) (string, bool) { return fmt.Sprintf("%t", s.InitializeDisks), true },
-		axes: map[string]func(s *Spec, v any) error{
-			"initialize_disks": func(s *Spec, v any) error { return setBool(&s.InitializeDisks, "initialize_disks", v) },
-			"initialize_bytes": func(s *Spec, v any) error { return setFloat(&s.InitializeBytes, "initialize_bytes", v) },
-		},
 	},
 	{
 		name: "failures",
@@ -160,11 +136,6 @@ var groups = []group{
 				"failed attempts allowed per task; 0 = DAGMan's default of 3")
 			fs.Uint64Var(&s.FailureSeed, "failure-seed", s.FailureSeed,
 				"failure-injection RNG seed; 0 = fixed default")
-		},
-		axes: map[string]func(s *Spec, v any) error{
-			"failure_rate": func(s *Spec, v any) error { return setFloat(&s.FailureRate, "failure_rate", v) },
-			"max_retries":  func(s *Spec, v any) error { return setInt(&s.MaxRetries, "max_retries", v) },
-			"failure_seed": func(s *Spec, v any) error { return setUint64(&s.FailureSeed, "failure_seed", v) },
 		},
 	},
 	{
@@ -186,11 +157,6 @@ var groups = []group{
 			fs.Uint64Var(&s.OutageSeed, "outage-seed", s.OutageSeed,
 				"outage-schedule RNG seed; 0 = fixed default")
 		},
-		axes: map[string]func(s *Spec, v any) error{
-			"outage_rate":     func(s *Spec, v any) error { return setFloat(&s.OutageRate, "outage_rate", v) },
-			"outage_duration": func(s *Spec, v any) error { return setFloat(&s.OutageDuration, "outage_duration", v) },
-			"outage_seed":     func(s *Spec, v any) error { return setUint64(&s.OutageSeed, "outage_seed", v) },
-		},
 	},
 	{
 		name: "checkpointing",
@@ -198,9 +164,6 @@ var groups = []group{
 		flags: func(fs *flag.FlagSet, s *Spec) {
 			fs.Float64Var(&s.CheckpointInterval, "checkpoint-interval", s.CheckpointInterval,
 				"write a checkpoint every this many seconds of computation and resume killed tasks from it (0 = no checkpointing)")
-		},
-		axes: map[string]func(s *Spec, v any) error{
-			"checkpoint_interval": func(s *Spec, v any) error { return setFloat(&s.CheckpointInterval, "checkpoint_interval", v) },
 		},
 	},
 }
@@ -242,10 +205,7 @@ func PairKey(s *Spec) string {
 // sequence depends only on its configuration, never on scheduling or
 // batch position.
 func ReplicateSeed(s *Spec, replicate int) uint64 {
-	base := s.Seed
-	if base == 0 {
-		base = DefaultSeed
-	}
+	base := s.EffectiveSeed()
 	if replicate == 0 {
 		return base
 	}
@@ -295,105 +255,40 @@ func FlagNames(identity bool) []string {
 	return names
 }
 
-// SetField assigns one axis value to a spec field by its JSON name.
-// Values may come from JSON (float64/string/bool) or from typed Go
-// callers (int/uint64/float64/string/bool).
+// SetField assigns one axis value to a spec field by its JSON name. The
+// value is encoded as JSON and read into the spec by the spec-file
+// decoder, so it decodes exactly as that key of a spec file does. NaN
+// and infinities do not encode, and null is rejected because the
+// decoder would leave the field alone.
 func SetField(s *Spec, field string, v any) error {
-	for _, g := range groups {
-		if set, ok := g.axes[field]; ok {
-			return set(s, v)
-		}
+	// JSON matches keys case-insensitively; the axis name must not.
+	if !slices.Contains(AxisFields(), field) {
+		return fmt.Errorf("scenario: unknown axis field %q (valid: %s)",
+			field, strings.Join(AxisFields(), ", "))
 	}
-	return fmt.Errorf("scenario: unknown axis field %q (valid: %s)",
-		field, strings.Join(AxisFields(), ", "))
+	value, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("scenario: axis %s: %w", field, err)
+	}
+	if string(value) == "null" {
+		return fmt.Errorf("scenario: axis %s: null is not a value", field)
+	}
+	if err := strictUnmarshal(fmt.Appendf(nil, "{%q:%s}", field, value), s); err != nil {
+		return fmt.Errorf("scenario: axis %s: %w", field, err)
+	}
+	return nil
 }
 
-// AxisFields lists every sweepable field name, sorted.
+// AxisFields lists every sweepable field name, sorted: Spec's JSON
+// keys, including the promoted fault knobs.
 func AxisFields() []string {
 	var out []string
-	for _, g := range groups {
-		for name := range g.axes {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Spec{})) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.Anonymous && name != "" && name != "-" {
 			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Axis-value coercions. JSON decodes every number as float64, so the
-// integer setters accept integral floats; typed Go callers pass native
-// ints and uint64s through unchanged.
-
-func setString(dst *string, field string, v any) error {
-	s, ok := v.(string)
-	if !ok {
-		return fmt.Errorf("scenario: axis %s wants a string, got %T", field, v)
-	}
-	*dst = s
-	return nil
-}
-
-func setBool(dst *bool, field string, v any) error {
-	b, ok := v.(bool)
-	if !ok {
-		return fmt.Errorf("scenario: axis %s wants a bool, got %T", field, v)
-	}
-	*dst = b
-	return nil
-}
-
-func setFloat(dst *float64, field string, v any) error {
-	switch x := v.(type) {
-	case float64:
-		*dst = x
-	case int:
-		*dst = float64(x)
-	case int64:
-		*dst = float64(x)
-	default:
-		return fmt.Errorf("scenario: axis %s wants a number, got %T", field, v)
-	}
-	return nil
-}
-
-func setInt(dst *int, field string, v any) error {
-	switch x := v.(type) {
-	case int:
-		*dst = x
-	case int64:
-		*dst = int(x)
-	case float64:
-		if x != float64(int(x)) {
-			return fmt.Errorf("scenario: axis %s wants an integer, got %g", field, x)
-		}
-		*dst = int(x)
-	default:
-		return fmt.Errorf("scenario: axis %s wants an integer, got %T", field, v)
-	}
-	return nil
-}
-
-func setUint64(dst *uint64, field string, v any) error {
-	switch x := v.(type) {
-	case uint64:
-		*dst = x
-	case int:
-		if x < 0 {
-			return fmt.Errorf("scenario: axis %s wants a non-negative seed, got %d", field, x)
-		}
-		*dst = uint64(x)
-	case int64:
-		if x < 0 {
-			return fmt.Errorf("scenario: axis %s wants a non-negative seed, got %d", field, x)
-		}
-		*dst = uint64(x)
-	case float64:
-		if x < 0 || x != float64(uint64(x)) {
-			return fmt.Errorf("scenario: axis %s wants a non-negative integer seed, got %g", field, x)
-		}
-		*dst = uint64(x)
-	default:
-		return fmt.Errorf("scenario: axis %s wants a seed, got %T", field, v)
-	}
-	return nil
 }

@@ -4,8 +4,10 @@
 // checkpointing), and a registry of self-describing option groups
 // declares — once, per group — how those fields appear in the
 // canonical memoization key, which of them participate in the
-// seed-pairing hash, how replicates reseed them, which CLI flags they
-// register, and which sweep axes they expose. Two Spec fields live in
+// seed-pairing hash, how replicates reseed them and which CLI flags
+// they register. Every serializable field is also a grid axis: an axis
+// value decodes through the spec-file decoder, and Validate checks every
+// cell the same way however it was built. Two Spec fields live in
 // memory only — a custom Workflow and the Replicate index — and appear
 // in none of those projections.
 //
@@ -78,6 +80,15 @@ type Spec struct {
 	Replicate int `json:"-"`
 }
 
+// EffectiveSeed is the provisioning-jitter seed the spec runs with:
+// Seed, or DefaultSeed when Seed is 0.
+func (s *Spec) EffectiveSeed() uint64 {
+	if s.Seed == 0 {
+		return DefaultSeed
+	}
+	return s.Seed
+}
+
 // CanonicalJSON renders the spec as compact JSON with the struct's
 // fixed field order and zero-valued fields omitted. The encoding is a
 // pure function of the spec's field values, so artifacts embedding a
@@ -133,14 +144,16 @@ func ValidateWorkerType(name string) error {
 	return nil
 }
 
-// Validate checks every catalog-typed field of the spec, so a typo in a
-// spec file fails with the valid names before any simulation starts,
-// and the fault knobs' ranges (a *wms.FaultError names the bad one).
-// An empty App passes here — it means "the caller supplies a workflow",
-// and the harness rejects it with the same typed error when none is —
-// but a non-empty App must resolve.
+// Validate checks every cell the same way, wherever it came from, so a
+// bad spec fails before any simulation starts: each catalog-typed field
+// must resolve (an *UnknownNameError lists the valid names), the
+// storage system must be able to form a file system on the worker count
+// (a *storage.WorkersError), and the fault knobs must be in range (a
+// *wms.FaultError names the bad one). App may be empty only when a
+// custom Workflow replaces it; a non-empty App must resolve even then,
+// because replicate seeds hash it.
 func (s *Spec) Validate() error {
-	if s.App != "" {
+	if s.App != "" || s.Workflow == nil {
 		if err := ValidateApp(s.App); err != nil {
 			return err
 		}
@@ -151,8 +164,8 @@ func (s *Spec) Validate() error {
 	if err := ValidateWorkerType(s.WorkerType); err != nil {
 		return err
 	}
-	if s.Workers <= 0 {
-		return fmt.Errorf("scenario: workers must be positive (got %d)", s.Workers)
+	if err := storage.CheckWorkers(s.Storage, s.Workers); err != nil {
+		return err
 	}
 	return s.Faults.Validate()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"ec2wfsim/internal/storage"
 	"ec2wfsim/internal/wms"
 	"ec2wfsim/internal/workflow"
 )
@@ -178,6 +180,8 @@ func TestValidateTypedErrors(t *testing.T) {
 		{Spec{App: "montag", Storage: "nfs", Workers: 2}, "application"},
 		{Spec{App: "montage", Storage: "glusterfs", Workers: 2}, "storage system"},
 		{Spec{App: "montage", Storage: "nfs", Workers: 2, WorkerType: "t2.micro"}, "worker type"},
+		{Spec{Storage: "nfs", Workers: 2}, "application"}, // no App and no Workflow
+		{Spec{App: "montag", Storage: "nfs", Workers: 2, Workflow: workflow.New("custom")}, "application"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -192,9 +196,136 @@ func TestValidateTypedErrors(t *testing.T) {
 			t.Errorf("error %q does not list the valid names %v", err, unknown.Valid)
 		}
 	}
-	ok := Spec{App: "montage", Storage: "nfs", Workers: 2}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
+	for _, ok := range []Spec{
+		{App: "montage", Storage: "nfs", Workers: 2},
+		{Storage: "nfs", Workers: 2, Workflow: workflow.New("custom")},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid spec %+v rejected: %v", ok, err)
+		}
+	}
+}
+
+// TestValidateWorkerBounds: a cell the storage system cannot form fails
+// Validate with the catalog's *storage.WorkersError.
+func TestValidateWorkerBounds(t *testing.T) {
+	for _, c := range []struct {
+		storage string
+		workers int
+	}{{"gluster-nufa", 1}, {"pvfs", 1}, {"local", 2}} {
+		s := Spec{App: "epigenome", Storage: c.storage, Workers: c.workers}
+		var we *storage.WorkersError
+		if err := s.Validate(); !errors.As(err, &we) || we.System != c.storage || we.Workers != c.workers {
+			t.Errorf("Validate(%s/%d) = %v, want a *storage.WorkersError for it", c.storage, c.workers, err)
+		}
+	}
+}
+
+// TestSetFieldDecodesLikeSpecFile: an axis value lands in the spec
+// exactly as the same key and JSON value of a spec file does, and fails
+// where the spec file fails. Each of the 16 fields gets a valid value,
+// a wrong-type value, and, by kind, a fraction (integers) or a negative
+// number (seeds).
+func TestSetFieldDecodesLikeSpecFile(t *testing.T) {
+	kinds := map[string]string{
+		"app": "string", "storage": "string", "worker_type": "string",
+		"data_aware": "bool", "initialize_disks": "bool",
+		"workers": "int", "max_retries": "int",
+		"seed": "seed", "app_seed": "seed", "failure_seed": "seed", "outage_seed": "seed",
+		"initialize_bytes": "float", "failure_rate": "float", "outage_rate": "float",
+		"outage_duration": "float", "checkpoint_interval": "float",
+	}
+	values := map[string][]struct {
+		json string
+		ok   bool
+	}{
+		"string": {{`"montage"`, true}, {`4`, false}},
+		"bool":   {{`true`, true}, {`"true"`, false}},
+		"int":    {{`4`, true}, {`-3`, true}, {`"4"`, false}, {`2.5`, false}},
+		"seed":   {{`7`, true}, {`18446744073709551615`, true}, {`"7"`, false}, {`1.5`, false}, {`-1`, false}},
+		"float":  {{`0.25`, true}, {`3`, true}, {`"0.25"`, false}, {`false`, false}},
+	}
+	fields := make([]string, 0, len(kinds))
+	for f := range kinds {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	if !reflect.DeepEqual(AxisFields(), fields) {
+		t.Fatalf("AxisFields() = %v, want %v", AxisFields(), fields)
+	}
+	for _, field := range fields {
+		for _, val := range values[kinds[field]] {
+			file, fileErr := Read(strings.NewReader(fmt.Sprintf(`{%q: %s}`, field, val.json)))
+			grid, err := Read(strings.NewReader(fmt.Sprintf(
+				`{"base": {}, "axes": [{"field": %q, "values": [%s]}]}`, field, val.json)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var axis Spec
+			axisErr := SetField(&axis, field, grid.Axes[0].Values[0])
+			if (fileErr == nil) != val.ok || (axisErr == nil) != val.ok {
+				t.Errorf("%s = %s: spec file err %v, axis err %v, want ok=%t", field, val.json, fileErr, axisErr, val.ok)
+				continue
+			}
+			if val.ok && axis != file.Base {
+				t.Errorf("%s = %s: axis gave %+v, spec file %+v", field, val.json, axis, file.Base)
+			}
+			if !val.ok && !strings.Contains(axisErr.Error(), "axis "+field) {
+				t.Errorf("%s = %s: error %q does not name the axis", field, val.json, axisErr)
+			}
+		}
+	}
+	// Typed Go values decode as their JSON encoding does.
+	var s Spec
+	for _, set := range []struct {
+		field string
+		v     any
+	}{{"workers", 4}, {"seed", uint64(1) << 63}, {"failure_rate", float32(0.5)}, {"max_retries", int64(2)}} {
+		if err := SetField(&s, set.field, set.v); err != nil {
+			t.Errorf("SetField(%s, %T %v) = %v", set.field, set.v, set.v, err)
+		}
+	}
+	want := Spec{Workers: 4, Seed: 1 << 63, Faults: wms.Faults{FailureRate: 0.5, MaxRetries: 2}}
+	if s != want {
+		t.Errorf("typed values gave %+v, want %+v", s, want)
+	}
+}
+
+// TestSetFieldRejectsNonValues: null (which encoding/json treats as
+// "leave the field alone"), NaN and infinities fail with an error that
+// names the axis, and a field name must match a JSON key exactly.
+func TestSetFieldRejectsNonValues(t *testing.T) {
+	var nilSpec *Spec
+	for _, c := range []struct {
+		field string
+		v     any
+	}{
+		{"workers", nil},
+		{"app", nilSpec},
+		{"initialize_bytes", math.NaN()},
+		{"failure_rate", math.Inf(1)},
+		{"outage_rate", math.Inf(-1)},
+	} {
+		s := Spec{Workers: 2}
+		err := SetField(&s, c.field, c.v)
+		if err == nil || !strings.Contains(err.Error(), "axis "+c.field) {
+			t.Errorf("SetField(%s, %v) = %v, want an error naming the axis", c.field, c.v, err)
+		}
+	}
+	for _, field := range []string{"Workers", "replicate", "workflow"} {
+		s := Spec{}
+		err := SetField(&s, field, 2)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(AxisFields(), ", ")) {
+			t.Errorf("SetField(%q) = %v, want an error listing the valid fields", field, err)
+		}
+	}
+	e, err := Read(strings.NewReader(`{"base": {"app": "epigenome", "storage": "nfs", "workers": 2},
+		"axes": [{"field": "workers", "values": [null, 4]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells, err := e.Cells(); err == nil {
+		t.Errorf("a null axis value expanded to %d cells", len(cells))
 	}
 }
 

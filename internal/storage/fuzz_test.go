@@ -26,9 +26,10 @@ func checkArbitraryWorkload(sysName string, seed uint64, opsRaw []uint16) error 
 	if err != nil {
 		return err
 	}
-	workers := sys.MinWorkers()
-	if sysName != "local" && workers < 2 {
-		workers = 2
+	// Two workers make the clients concurrent; local runs on one.
+	workers := 2
+	if CheckWorkers(sysName, workers) != nil {
+		workers = 1
 	}
 	e := sim.NewEngine()
 	net := flow.NewNet(e)

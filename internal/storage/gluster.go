@@ -50,10 +50,6 @@ func (g *Gluster) Name() string {
 	return "gluster-dist"
 }
 
-// MinWorkers implements System: "the GlusterFS and PVFS configurations
-// used require at least two nodes to construct a valid file system".
-func (g *Gluster) MinWorkers() int { return 2 }
-
 // ExtraNodeTypes implements System: GlusterFS runs on the workers.
 func (g *Gluster) ExtraNodeTypes() []cluster.InstanceType { return nil }
 

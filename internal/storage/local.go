@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"fmt"
-
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/sim"
 	"ec2wfsim/internal/workflow"
@@ -24,23 +22,12 @@ func NewLocal() *Local { return &Local{} }
 // Name implements System.
 func (l *Local) Name() string { return "local" }
 
-// MinWorkers implements System.
-func (l *Local) MinWorkers() int { return 1 }
-
 // ExtraNodeTypes implements System.
 func (l *Local) ExtraNodeTypes() []cluster.InstanceType { return nil }
 
-// Init implements System. Local storage cannot share data, so it refuses
-// multi-node clusters.
-func (l *Local) Init(env *Env) error {
-	if err := checkInit(l, env); err != nil {
-		return err
-	}
-	if len(env.Workers) != 1 {
-		return fmt.Errorf("storage: local disk cannot share files across %d nodes", len(env.Workers))
-	}
-	return nil
-}
+// Init implements System. Local storage cannot share data, so the
+// catalog bounds it to one node.
+func (l *Local) Init(env *Env) error { return checkInit(l, env) }
 
 // PreStage implements System: inputs already sit on the local volume.
 func (l *Local) PreStage(files []*workflow.File) {}

@@ -74,9 +74,6 @@ func NewNFSSync() *NFS {
 // Name implements System.
 func (n *NFS) Name() string { return n.label }
 
-// MinWorkers implements System.
-func (n *NFS) MinWorkers() int { return 1 }
-
 // ExtraNodeTypes implements System.
 func (n *NFS) ExtraNodeTypes() []cluster.InstanceType {
 	return []cluster.InstanceType{n.ServerType}

@@ -54,9 +54,6 @@ func NewPVFS() *PVFS { return &PVFS{} }
 // Name implements System.
 func (v *PVFS) Name() string { return "pvfs" }
 
-// MinWorkers implements System.
-func (v *PVFS) MinWorkers() int { return 2 }
-
 // ExtraNodeTypes implements System.
 func (v *PVFS) ExtraNodeTypes() []cluster.InstanceType { return nil }
 

@@ -50,9 +50,6 @@ func NewS3NoCache() *S3 { return &S3{CacheEnabled: false, label: "s3-nocache"} }
 // Name implements System.
 func (s *S3) Name() string { return s.label }
 
-// MinWorkers implements System.
-func (s *S3) MinWorkers() int { return 1 }
-
 // ExtraNodeTypes implements System: S3 is a hosted service, no nodes.
 func (s *S3) ExtraNodeTypes() []cluster.InstanceType { return nil }
 

@@ -57,13 +57,12 @@ func (env *Env) recordCache(p *sim.Proc, hit bool, layer string, node *cluster.N
 	})
 }
 
-// System is a data-sharing option for workflow files.
+// System is a data-sharing option for workflow files. The worker counts
+// a system can form a file system on are not part of it: they live in
+// the catalog next to its constructor (see CheckWorkers).
 type System interface {
 	// Name is the short identifier used in figures ("gluster-nufa").
 	Name() string
-	// MinWorkers is the smallest worker count the system supports
-	// (GlusterFS and PVFS need two nodes to form a valid file system).
-	MinWorkers() int
 	// ExtraNodeTypes lists service nodes to provision alongside the
 	// workers (e.g. NFS's dedicated m1.xlarge file server).
 	ExtraNodeTypes() []cluster.InstanceType
@@ -109,9 +108,8 @@ type Stats struct {
 
 // checkInit validates the Env handed to Init.
 func checkInit(s System, env *Env) error {
-	if len(env.Workers) < s.MinWorkers() {
-		return fmt.Errorf("storage: %s requires at least %d workers, got %d",
-			s.Name(), s.MinWorkers(), len(env.Workers))
+	if err := CheckWorkers(s.Name(), len(env.Workers)); err != nil {
+		return err
 	}
 	if want, got := len(s.ExtraNodeTypes()), len(env.Extra); want != got {
 		return fmt.Errorf("storage: %s needs %d service node(s), cluster has %d",

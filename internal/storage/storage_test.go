@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"ec2wfsim/internal/cluster"
@@ -505,6 +507,52 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	if len(PaperSystems()) != 5 {
 		t.Errorf("PaperSystems = %d entries, want the paper's 5", len(PaperSystems()))
+	}
+}
+
+// TestCheckWorkers pins the catalog's worker bounds: GlusterFS and PVFS
+// need two nodes, local disk runs on exactly one, the rest on any
+// positive count. Init enforces the same rule.
+func TestCheckWorkers(t *testing.T) {
+	cases := []struct {
+		sys     string
+		workers int
+		ok      bool
+	}{
+		{"local", 1, true},
+		{"local", 2, false},
+		{"gluster-nufa", 1, false},
+		{"gluster-nufa", 2, true},
+		{"gluster-dist", 1, false},
+		{"pvfs", 1, false},
+		{"pvfs", 128, true},
+		{"s3", 1, true},
+		{"nfs", 1, true},
+		{"nfs", 0, false},
+		{"xtreemfs", 1, true},
+	}
+	for _, c := range cases {
+		err := CheckWorkers(c.sys, c.workers)
+		if c.ok {
+			if err != nil {
+				t.Errorf("CheckWorkers(%s, %d) = %v, want nil", c.sys, c.workers, err)
+			}
+			continue
+		}
+		var we *WorkersError
+		if !errors.As(err, &we) || we.System != c.sys || we.Workers != c.workers {
+			t.Errorf("CheckWorkers(%s, %d) = %v, want a *WorkersError for it", c.sys, c.workers, err)
+		}
+	}
+	if err := CheckWorkers("nope", 4); err == nil {
+		t.Error("CheckWorkers accepted an unknown system")
+	}
+	if got, want := CheckWorkers("gluster-nufa", 1).Error(),
+		"storage: gluster-nufa requires at least 2 workers, got 1"; got != want {
+		t.Errorf("error = %q, want %q", got, want)
+	}
+	if !sort.StringsAreSorted(Names()) {
+		t.Errorf("Names() not sorted: %v", Names())
 	}
 }
 

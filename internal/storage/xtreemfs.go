@@ -33,9 +33,6 @@ func NewXtreemFS() *XtreemFS { return &XtreemFS{} }
 // Name implements System.
 func (x *XtreemFS) Name() string { return "xtreemfs" }
 
-// MinWorkers implements System.
-func (x *XtreemFS) MinWorkers() int { return 1 }
-
 // ExtraNodeTypes implements System: directory/metadata services modelled
 // as an external endpoint rather than a billed node.
 func (x *XtreemFS) ExtraNodeTypes() []cluster.InstanceType { return nil }

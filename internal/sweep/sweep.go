@@ -123,49 +123,37 @@ func (e *Engine[C, R]) MapCtx(ctx context.Context, cfgs []C) ([]R, error) {
 		report(i, r, err, cached)
 	}
 
-	if workers <= 1 {
-		for i := range cfgs {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			runOne(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runOne(i)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				// When a worker is free and ctx is done, the feeder's
+				// select picks either case, so a cell can arrive after
+				// cancellation; it does not start.
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
 				}
-			}()
-		}
-	feed:
-		for i := range cfgs {
-			// Checked before the select: when a worker is free AND ctx is
-			// done, select would pick a case at random and could keep
-			// dispatching cells after cancellation.
-			if err := ctx.Err(); err != nil {
-				for j := i; j < len(cfgs); j++ {
-					errs[j] = err
-				}
-				break feed
+				runOne(i)
 			}
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				for j := i; j < len(cfgs); j++ {
-					errs[j] = ctx.Err()
-				}
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
+		}()
 	}
+feed:
+	for i := range cfgs {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			for j := i; j < len(cfgs); j++ {
+				errs[j] = ctx.Err()
+			}
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {

@@ -174,20 +174,24 @@ func TestMapCtxCanceledUpFront(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var calls atomic.Int64
-	e := &Engine[int, int]{
-		Run: func(x int) (int, error) {
-			calls.Add(1)
-			return x, nil
-		},
-		Parallel: 4,
-	}
-	_, err := e.MapCtx(ctx, []int{1, 2, 3, 4, 5})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := calls.Load(); n > 4 {
-		t.Errorf("canceled sweep still ran %d cells", n)
+	for _, parallel := range []int{1, 4} {
+		var calls atomic.Int64
+		e := &Engine[int, int]{
+			Run: func(x int) (int, error) {
+				calls.Add(1)
+				return x, nil
+			},
+			Parallel: parallel,
+		}
+		_, err := e.MapCtx(ctx, make([]int, 64))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallel=%d: err = %v, want context.Canceled", parallel, err)
+		}
+		// A free worker can still receive a cell from the feeder's
+		// select; it must not start it.
+		if n := calls.Load(); n != 0 {
+			t.Errorf("parallel=%d: canceled sweep still ran %d cells", parallel, n)
+		}
 	}
 }
 
@@ -220,6 +224,11 @@ func TestMapCtxStopsDispatchingMidSweep(t *testing.T) {
 		ran := calls.Load()
 		if ran >= int64(len(cfgs)) {
 			t.Errorf("parallel=%d: cancellation did not stop dispatch (%d cells ran)", parallel, ran)
+		}
+		if parallel == 1 && ran != 2 {
+			// One worker runs cells one at a time, so nothing may start
+			// after the cell that canceled.
+			t.Errorf("parallel=1: %d cells ran, want exactly 2", ran)
 		}
 		if progressed.Load() != ran {
 			t.Errorf("parallel=%d: %d progress updates for %d completed cells", parallel, progressed.Load(), ran)

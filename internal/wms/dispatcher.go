@@ -7,13 +7,13 @@ import (
 	"ec2wfsim/internal/workflow"
 )
 
-// dispatcher matches submitted jobs to requesting slots.
+// dispatcher matches submitted tasks (Condor jobs) to requesting slots.
 type dispatcher interface {
-	// submit enqueues a job for execution.
-	submit(j *job)
-	// request blocks until a job is available for a slot on node, or
+	// submit enqueues a task for execution.
+	submit(t *workflow.Task)
+	// request blocks until a task is available for a slot on node, or
 	// returns nil once the dispatcher is closed and drained.
-	request(p *sim.Proc, node *cluster.Node) *job
+	request(p *sim.Proc, node *cluster.Node) *workflow.Task
 	// close drains and releases all blocked slots.
 	close()
 }
@@ -21,21 +21,18 @@ type dispatcher interface {
 // fifoDispatcher is the paper's Condor configuration: first come, first
 // served, blind to where a job's data lives.
 type fifoDispatcher struct {
-	queue *sim.Mailbox[*job]
+	queue *sim.Mailbox[*workflow.Task]
 }
 
 func newFIFODispatcher(e *sim.Engine) *fifoDispatcher {
-	return &fifoDispatcher{queue: sim.NewMailbox[*job](e)}
+	return &fifoDispatcher{queue: sim.NewMailbox[*workflow.Task](e)}
 }
 
-func (d *fifoDispatcher) submit(j *job) { d.queue.Put(j) }
+func (d *fifoDispatcher) submit(t *workflow.Task) { d.queue.Put(t) }
 
-func (d *fifoDispatcher) request(p *sim.Proc, node *cluster.Node) *job {
-	j, ok := d.queue.Get(p)
-	if !ok {
-		return nil
-	}
-	return j
+func (d *fifoDispatcher) request(p *sim.Proc, node *cluster.Node) *workflow.Task {
+	t, _ := d.queue.Get(p)
+	return t
 }
 
 func (d *fifoDispatcher) close() { d.queue.Close() }
@@ -61,7 +58,7 @@ type NodeCacher interface {
 type dataAwareDispatcher struct {
 	e       *sim.Engine
 	sys     storage.System
-	ready   []*job
+	ready   []*workflow.Task
 	waiters []*slotWaiter
 	closed  bool
 }
@@ -69,7 +66,7 @@ type dataAwareDispatcher struct {
 type slotWaiter struct {
 	p    *sim.Proc
 	node *cluster.Node
-	got  *job
+	got  *workflow.Task
 	done bool
 }
 
@@ -77,15 +74,15 @@ func newDataAwareDispatcher(e *sim.Engine, sys storage.System) *dataAwareDispatc
 	return &dataAwareDispatcher{e: e, sys: sys}
 }
 
-// localBytes scores how many input bytes of j are already on node.
-func (d *dataAwareDispatcher) localBytes(node *cluster.Node, j *job) float64 {
+// localBytes scores how many input bytes of t are already on node.
+func (d *dataAwareDispatcher) localBytes(node *cluster.Node, t *workflow.Task) float64 {
 	loc, hasLoc := d.sys.(Locator)
 	nc, hasNC := d.sys.(NodeCacher)
 	if !hasLoc && !hasNC {
 		return 0
 	}
 	total := 0.0
-	for _, f := range j.task.Inputs {
+	for _, f := range t.Inputs {
 		if hasLoc && loc.Owner(f) == node {
 			total += f.Size
 		} else if hasNC && nc.CachedOn(node, f) {
@@ -95,36 +92,36 @@ func (d *dataAwareDispatcher) localBytes(node *cluster.Node, j *job) float64 {
 	return total
 }
 
-func (d *dataAwareDispatcher) submit(j *job) {
+func (d *dataAwareDispatcher) submit(t *workflow.Task) {
 	if len(d.waiters) > 0 {
-		// Give the job to the waiting slot that values it most.
+		// Give the task to the waiting slot that values it most.
 		best, bestScore := 0, -1.0
 		for i, w := range d.waiters {
-			if s := d.localBytes(w.node, j); s > bestScore {
+			if s := d.localBytes(w.node, t); s > bestScore {
 				best, bestScore = i, s
 			}
 		}
 		w := d.waiters[best]
 		d.waiters = append(d.waiters[:best], d.waiters[best+1:]...)
-		w.got, w.done = j, true
+		w.got, w.done = t, true
 		w.p.Resume()
 		return
 	}
-	d.ready = append(d.ready, j)
+	d.ready = append(d.ready, t)
 }
 
-func (d *dataAwareDispatcher) request(p *sim.Proc, node *cluster.Node) *job {
+func (d *dataAwareDispatcher) request(p *sim.Proc, node *cluster.Node) *workflow.Task {
 	for {
 		if len(d.ready) > 0 {
 			best, bestScore := 0, -1.0
-			for i, j := range d.ready {
-				if s := d.localBytes(node, j); s > bestScore {
+			for i, t := range d.ready {
+				if s := d.localBytes(node, t); s > bestScore {
 					best, bestScore = i, s
 				}
 			}
-			j := d.ready[best]
+			t := d.ready[best]
 			d.ready = append(d.ready[:best], d.ready[best+1:]...)
-			return j
+			return t
 		}
 		if d.closed {
 			return nil

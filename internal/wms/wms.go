@@ -114,11 +114,6 @@ func (r *Result) Utilization(c *cluster.Cluster) float64 {
 	return r.BusySeconds / (r.Makespan * float64(c.TotalCores()))
 }
 
-// job is one schedulable unit.
-type job struct {
-	task *workflow.Task
-}
-
 // Run plans and executes the workflow on the cluster using the given
 // storage system. The storage system must already be Init-ed against the
 // cluster; input files are pre-staged (free, per the paper's methodology)
@@ -262,7 +257,7 @@ func (x *execution) execute() {
 				return
 			}
 			p.Sleep(submitDelay)
-			x.disp.submit(&job{task: t})
+			x.disp.submit(t)
 		}
 	})
 
@@ -273,18 +268,18 @@ func (x *execution) execute() {
 			node := node
 			x.e.GoDaemon(fmt.Sprintf("%s/slot%d", node.Name, s), func(p *sim.Proc) {
 				for {
-					j := x.disp.request(p, node)
-					if j == nil {
+					t := x.disp.request(p, node)
+					if t == nil {
 						return
 					}
 					if x.outages != nil && node.Down() {
 						// A dead startd matches no jobs: hand the job back
 						// for a live node and wait out the outage.
-						x.disp.submit(j)
+						x.disp.submit(t)
 						node.WaitUp(p)
 						continue
 					}
-					x.runJob(p, node, j)
+					x.runJob(p, node, t)
 					if x.outages != nil && node.Down() {
 						// The attempt was killed mid-run; don't request
 						// more work until the node recovers.
@@ -458,8 +453,7 @@ func (x *execution) stage(p *sim.Proc, node *cluster.Node, t *workflow.Task, f *
 
 // runJob executes one task on a slot: memory admission, input staging,
 // computation, output publication, then dependency release.
-func (x *execution) runJob(p *sim.Proc, node *cluster.Node, j *job) {
-	t := j.task
+func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 	span := Span{Task: t, Node: node.Name, Start: p.Now()}
 	att := x.register(p, node, t)
 
