@@ -146,46 +146,14 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 		// printing unreplicated numbers under a -seeds flag.
 		return fmt.Errorf("-seeds replicates %s; this mode renders single-seed numbers", replicatedModes)
 	}
+	// -failure-rate and -outage-rate study one rate; the studies' -ablation
+	// names sweep the canonical ladders.
+	if spec.FailureRate > 0 {
+		ablation = "failures"
+	} else if spec.OutageRate > 0 {
+		ablation = "outages"
+	}
 	switch {
-	case failureStudy:
-		// The failure-sensitivity study: every app on the studied storage
-		// systems, paired against the failure-free baseline, error-barred
-		// when -seeds > 1. -failure-rate studies one rate; -ablation
-		// failures sweeps the canonical ladder.
-		o := harness.FailureStudyOptions{
-			MaxRetries:  spec.MaxRetries,
-			FailureSeed: spec.FailureSeed,
-			Sweep:       opt,
-		}
-		if spec.FailureRate > 0 {
-			o.Rates = []float64{spec.FailureRate}
-		}
-		_, out, err := harness.FailureStudy(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
-	case outageStudy:
-		// The outage-ablation study: correlated node outages crossed with
-		// the checkpoint/restart arm, paired against the outage-free
-		// baseline. -outage-rate studies one rate; -ablation outages
-		// sweeps the canonical ladder.
-		o := harness.OutageStudyOptions{
-			Duration:           spec.OutageDuration,
-			OutageSeed:         spec.OutageSeed,
-			CheckpointInterval: spec.CheckpointInterval,
-			Sweep:              opt,
-		}
-		if spec.OutageRate > 0 {
-			o.Rates = []float64{spec.OutageRate}
-		}
-		_, out, err := harness.OutageStudy(o)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-		return nil
 	case csvPath != "":
 		return writeGrid(csvPath, opt, writeCSVRows)
 	case jsonPath != "":
@@ -196,7 +164,9 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 		fmt.Print(harness.DiskBench().String())
 		return nil
 	case ablation != "":
-		_, out, err := harness.AblationSweep(ablation, opt)
+		// The knob checks above keep every fault knob zero unless the
+		// study that reads it runs.
+		_, out, err := harness.AblationSweep(ablation, harness.StudyOptions{Faults: spec.Faults, Sweep: opt})
 		if err != nil {
 			return err
 		}
@@ -228,7 +198,7 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	}
 	for _, name := range harness.AblationNames() {
 		fmt.Println()
-		_, out, err := harness.AblationSweep(name, opt)
+		_, out, err := harness.AblationSweep(name, harness.StudyOptions{Sweep: opt})
 		if err != nil {
 			return err
 		}

@@ -126,16 +126,6 @@ func WithWorkerType(name string) Option {
 	return Option{func(s *scenario.Spec) { s.WorkerType = name }}
 }
 
-// WithDataAware enables the locality-aware scheduler.
-func WithDataAware() Option {
-	return Option{func(s *scenario.Spec) { s.DataAware = true }}
-}
-
-// WithSeed sets the provisioning-jitter seed (0 = the fixed default).
-func WithSeed(seed uint64) Option {
-	return Option{func(s *scenario.Spec) { s.Seed = seed }}
-}
-
 // WithAppSeed varies the generated application's task-runtime jitter
 // (0 = the fixed paper seed). Ignored for custom Workflows.
 func WithAppSeed(seed uint64) Option {
@@ -260,10 +250,7 @@ func Amortize(cfg Config, runs int, opts ...Option) (*AmortizedCost, error) {
 // Axis varies one scenario field across values in an Experiment grid.
 // Field is the spec's JSON field name (AxisFields lists them); Vary and
 // the typed helpers construct axes without spelling values as `any`.
-type Axis struct {
-	Field  string
-	Values []any
-}
+type Axis = scenario.Axis
 
 // Vary builds an axis over any scenario field by its JSON name, e.g.
 // Vary("checkpoint_interval", 0.0, 60.0, 300.0).
@@ -322,13 +309,9 @@ type Experiment struct {
 // every expanded cell shares it read-only (the DAG is immutable during
 // execution; all run state lives in wms).
 func (e Experiment) scenarioExperiment() scenario.Experiment {
-	axes := make([]scenario.Axis, len(e.Axes))
-	for i, ax := range e.Axes {
-		axes[i] = scenario.Axis{Field: ax.Field, Values: ax.Values}
-	}
 	return scenario.Experiment{
 		Base:  e.Base.runConfig(e.Options...),
-		Axes:  axes,
+		Axes:  e.Axes,
 		Seeds: e.Seeds,
 	}
 }
@@ -363,10 +346,6 @@ func ParseSpec(data []byte) (Experiment, error) {
 		return Experiment{}, err
 	}
 	base := se.Base
-	axes := make([]Axis, len(se.Axes))
-	for i, ax := range se.Axes {
-		axes[i] = Axis{Field: ax.Field, Values: ax.Values}
-	}
 	return Experiment{
 		// Config-representable fields land in Base (so callers can read
 		// and override them after parsing); only the fields the flat
@@ -385,7 +364,7 @@ func ParseSpec(data []byte) (Experiment, error) {
 			s.InitializeBytes = base.InitializeBytes
 			s.Faults = base.Faults
 		}}},
-		Axes:  axes,
+		Axes:  se.Axes,
 		Seeds: se.Seeds,
 	}, nil
 }
@@ -464,19 +443,9 @@ func Sweep(ctx context.Context, e Experiment, opt SweepOptions) ([]*Result, erro
 	return out, nil
 }
 
-// Summary aggregates one metric over replicate runs (sample stddev; 0
-// when N < 2).
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-}
-
-func newSummary(s sweep.Summary) Summary {
-	return Summary{N: s.N, Mean: s.Mean, Stddev: s.Stddev, Min: s.Min, Max: s.Max}
-}
+// Summary aggregates one metric over replicate runs: N, Mean, Stddev
+// (sample stddev; 0 when N < 2), Min and Max.
+type Summary = sweep.Summary
 
 // Replicated aggregates one cell's multi-seed replicates — the
 // confidence band the paper's single measurements lack. Replicate 0
@@ -530,15 +499,15 @@ func SweepSeeds(ctx context.Context, e Experiment, opt SweepOptions) ([]Replicat
 			Storage:         rep.Config.Storage,
 			Workers:         rep.Config.Workers,
 			Runs:            runs,
-			Makespan:        newSummary(rep.Makespan),
-			CostPerHour:     newSummary(rep.CostHour),
-			CostPerSecond:   newSummary(rep.CostSecond),
-			Utilization:     newSummary(rep.Utilization),
-			Failures:        newSummary(rep.Failures),
-			Retries:         newSummary(rep.Retries),
-			OutageKills:     newSummary(rep.OutageKills),
-			LostWorkSeconds: newSummary(rep.LostWork),
-			CheckpointBytes: newSummary(rep.CheckpointBytes),
+			Makespan:        rep.Makespan,
+			CostPerHour:     rep.CostHour,
+			CostPerSecond:   rep.CostSecond,
+			Utilization:     rep.Utilization,
+			Failures:        rep.Failures,
+			Retries:         rep.Retries,
+			OutageKills:     rep.OutageKills,
+			LostWorkSeconds: rep.LostWork,
+			CheckpointBytes: rep.CheckpointBytes,
 		}
 	}
 	return out, nil

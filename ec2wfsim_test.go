@@ -190,6 +190,16 @@ func TestFacadeRejectsBadFaultKnobs(t *testing.T) {
 	check("Sweep", err)
 }
 
+// TestFacadeRejectsNaNInitializeBytes: a NaN byte count once gave every
+// disk a free initialization; it fails with the typed error instead.
+func TestFacadeRejectsNaNInitializeBytes(t *testing.T) {
+	_, err := Run(Config{Application: "epigenome", Storage: "nfs", Workers: 2}, WithInitializedDisks(math.NaN()))
+	var re *scenario.RangeError
+	if !errors.As(err, &re) || re.Field != "initialize_bytes" {
+		t.Errorf("Run err = %v, want a *scenario.RangeError for initialize_bytes", err)
+	}
+}
+
 func TestFacadeSweepStreams(t *testing.T) {
 	e := Experiment{
 		Base: Config{Workflow: mustMontage(t), Storage: "gluster-nufa", Workers: 2},

@@ -20,27 +20,28 @@ type AblationResult struct {
 	Result *RunResult
 }
 
-// Ablation runs one named ablation experiment: a key of ablations or of
-// studies.
+// Ablation runs one named ablation experiment, a key of ablations or of
+// studies, at its defaults.
 func Ablation(name string) ([]AblationResult, string, error) {
-	return AblationSweep(name, SweepOptions{})
+	return AblationSweep(name, StudyOptions{})
 }
 
-// AblationSweep is Ablation with explicit sweep options. Each ablation's
-// cells dispatch through the sweep engine as one concurrent batch, and
-// cells shared with the figure grids (most ablations reuse grid
-// configurations) come from the process-wide cache. A study returns
-// its rendering alone.
-func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, error) {
+// AblationSweep runs one named ablation experiment. A study reads all of
+// o and returns its rendering alone; a fixed-cell ablation reads only
+// o.Sweep. Each ablation's cells dispatch through the sweep engine as
+// one concurrent batch, and cells shared with the figure grids (most
+// ablations reuse grid configurations) come from the process-wide
+// cache.
+func AblationSweep(name string, o StudyOptions) ([]AblationResult, string, error) {
 	if study, ok := studies[name]; ok {
-		out, err := study(opt)
+		_, out, err := study(o)
 		return nil, out, err
 	}
 	a, ok := ablations[name]
 	if !ok {
 		return nil, "", fmt.Errorf("harness: unknown ablation %q (want one of %s)", name, strings.Join(AblationNames(), ", "))
 	}
-	results, err := runAblation(a, opt)
+	results, err := runAblation(a, o.Sweep)
 	if err != nil {
 		return nil, "", err
 	}
@@ -48,25 +49,17 @@ func AblationSweep(name string, opt SweepOptions) ([]AblationResult, string, err
 }
 
 // studies are the ablations with their own matrix and renderer
-// (baseline-paired cells, delta charts). Unlike the fixed-cell
-// ablations they honour opt.Seeds, and they return no AblationResults.
-var studies = map[string]func(opt SweepOptions) (string, error){
-	"failures": func(opt SweepOptions) (string, error) {
-		_, out, err := FailureStudy(FailureStudyOptions{Sweep: opt})
-		return out, err
-	},
-	"outages": func(opt SweepOptions) (string, error) {
-		_, out, err := OutageStudy(OutageStudyOptions{Sweep: opt})
-		return out, err
-	},
-	"scale": func(opt SweepOptions) (string, error) {
-		_, out, err := ScaleStudy(ScaleStudyOptions{Sweep: opt})
-		return out, err
-	},
+// (baseline-paired cells, delta charts), keyed by ablation name. Unlike
+// the fixed-cell ablations they honour Sweep.Seeds and the study knobs
+// of StudyOptions.
+var studies = map[string]func(StudyOptions) ([]PairedCell, string, error){
+	"failures": FailureStudy,
+	"outages":  OutageStudy,
+	"scale":    ScaleStudy,
 	// scale1000 jumps from the paper's 8 nodes straight to 1000.
-	"scale1000": func(opt SweepOptions) (string, error) {
-		_, out, err := ScaleStudy(ScaleStudyOptions{Sizes: []int{8, 1000}, Sweep: opt})
-		return out, err
+	"scale1000": func(o StudyOptions) ([]PairedCell, string, error) {
+		o.Sizes = []int{8, 1000}
+		return ScaleStudy(o)
 	},
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"ec2wfsim/internal/apps"
@@ -18,42 +17,47 @@ import (
 // single-measurement, failure-free runs hide: real EC2 campaigns see
 // transient task failures (spot hiccups, OOM kills, flaky mounts), and
 // their cost depends on the storage system because every retry re-stages
-// its inputs. Each application runs on each studied storage system at a
-// ladder of injected failure rates; every cell is compared against the
-// failure-free baseline at the same seeds, so the reported inflation is
-// a paired difference, not two independent measurements.
+// its inputs. Each application runs on each studied storage system at the
+// canonical ladder of injected failure rates, or at one requested rate;
+// every cell is compared against the failure-free baseline at the same
+// seeds, so the reported inflation is a paired difference, not two
+// independent measurements.
 
 // FailureRates is the canonical rate ladder for the study, rate 0 (the
 // paper's setting) leading as the baseline.
 func FailureRates() []float64 { return []float64{0, 0.05, 0.1, 0.2, 0.4} }
 
-// FailureStudyStorages lists the storage systems the study crosses with
-// each application: the sync-export NFS worst case, the paper's GlusterFS
-// NUFA workhorse, PVFS, and S3 (whose client cache makes retries cheap).
-func FailureStudyStorages() []string {
+// FaultStudyStorages lists the storage systems the failure and outage
+// studies cross with each application: the sync-export NFS worst case,
+// the paper's GlusterFS NUFA workhorse, PVFS, and S3 (whose client cache
+// makes retries cheap). They span the data-placement spectrum outages
+// stress: a central server, node-local NUFA placement, striping over
+// every node and an external object store.
+func FaultStudyStorages() []string {
 	return []string{"nfs-sync", "gluster-nufa", "pvfs", "s3"}
 }
 
-// DefaultFailureStudyWorkers is the cluster size the study runs at — the
-// paper's mid-scale 4-node configuration.
-const DefaultFailureStudyWorkers = 4
+// DefaultStudyWorkers is the cluster size the failure and outage studies
+// run at — the paper's mid-scale 4-node configuration.
+const DefaultStudyWorkers = 4
 
-// FailureStudyOptions configures a failure-sensitivity study. The zero
-// value runs the canonical study: every paper application on
-// FailureStudyStorages at FailureRates with 4 workers.
-type FailureStudyOptions struct {
-	// Rates overrides the failure-rate ladder; a 0 baseline is prepended
-	// when missing, and rates are deduplicated and sorted.
-	Rates []float64
-	// MaxRetries bounds failed attempts per task (0 = DAGMan's default).
-	MaxRetries int
-	// FailureSeed drives the injection RNG of every failing cell
-	// (0 = the fixed default). The rate-0 baselines ignore it.
-	FailureSeed uint64
+// StudyOptions configures the paired studies: FailureStudy, OutageStudy
+// and ScaleStudy. The zero value runs each study's canonical matrix, and
+// each study's doc comment names the fields it reads.
+type StudyOptions struct {
+	// Faults carries the fault knobs. A non-zero FailureRate or
+	// OutageRate studies that one rate against the rate-0 baseline; zero
+	// runs the canonical ladder (FailureRates or OutageRates).
+	Faults wms.Faults
+	// Sizes overrides the scale study's cluster-size ladder; sizes are
+	// deduplicated and sorted, and the smallest size is the speedup
+	// baseline.
+	Sizes []int
 	// Apps and Storages override the study matrix.
 	Apps     []string
 	Storages []string
-	// Workers overrides the cluster size (0 = DefaultFailureStudyWorkers).
+	// Workers overrides the failure and outage studies' cluster size
+	// (0 = DefaultStudyWorkers).
 	Workers int
 	// Build, if set, supplies the workflow per application — tests use it
 	// to run scaled-down instances. Each cell gets its own instance.
@@ -64,38 +68,28 @@ type FailureStudyOptions struct {
 	Sweep SweepOptions
 }
 
-func (o *FailureStudyOptions) normalize() {
-	if len(o.Rates) == 0 {
-		o.Rates = FailureRates()
-	}
-	o.Rates = normalizeRates(o.Rates)
+// withMatrix fills the matrix fields a study leaves zero: every paper
+// application, the study's storage systems and DefaultStudyWorkers.
+func (o StudyOptions) withMatrix(storages []string) StudyOptions {
 	if len(o.Apps) == 0 {
 		o.Apps = apps.Names()
 	}
 	if len(o.Storages) == 0 {
-		o.Storages = FailureStudyStorages()
+		o.Storages = storages
 	}
 	if o.Workers <= 0 {
-		o.Workers = DefaultFailureStudyWorkers
+		o.Workers = DefaultStudyWorkers
 	}
+	return o
 }
 
-// normalizeRates sorts, deduplicates and anchors the ladder at rate 0.
-func normalizeRates(rates []float64) []float64 {
-	out := []float64{0}
-	for _, r := range rates {
-		if r > 0 {
-			out = append(out, r)
-		}
+// rateLadder is the rates a fault study runs, the rate-0 baseline first:
+// rate against the baseline, or the canonical ladder when rate is 0.
+func rateLadder(rate float64, canonical []float64) []float64 {
+	if rate == 0 {
+		return canonical
 	}
-	sort.Float64s(out)
-	dedup := out[:1]
-	for _, r := range out[1:] {
-		if r != dedup[len(dedup)-1] {
-			dedup = append(dedup, r)
-		}
-	}
-	return dedup
+	return []float64{0, rate}
 }
 
 // PairedCell is one aggregated cell of the failure, outage or scale
@@ -107,23 +101,20 @@ type PairedCell struct {
 	Baseline Replicated // the baseline aggregate for the same app/storage
 }
 
-// FailureCell is one (application, storage, rate) cell of the failure
-// study.
-type FailureCell = PairedCell
-
-// pairedSweep runs the apps x storages x arms matrix as one replicated
-// batch and pairs each cell with its baseline, the first arm of its
-// (app, storage) block. An arm is a cell configuration without App,
-// Storage and Workflow; build, if set, supplies each cell's workflow.
-func pairedSweep(apps, storages []string, arms []RunConfig, build func(app string) (*workflow.Workflow, error), opt SweepOptions) ([]PairedCell, error) {
+// pairedSweep runs the o.Apps x o.Storages x arms matrix as one
+// replicated batch and pairs each cell with its baseline, the first arm
+// of its (app, storage) block. An arm is a cell configuration without
+// App, Storage and Workflow; o.Build, if set, supplies each cell's
+// workflow.
+func pairedSweep(o StudyOptions, arms []RunConfig) ([]PairedCell, error) {
 	var cfgs []RunConfig
-	for _, app := range apps {
-		for _, sys := range storages {
+	for _, app := range o.Apps {
+		for _, sys := range o.Storages {
 			for _, arm := range arms {
 				cfg := arm
 				cfg.App, cfg.Storage = app, sys
-				if build != nil {
-					w, err := build(app)
+				if o.Build != nil {
+					w, err := o.Build(app)
 					if err != nil {
 						return nil, err
 					}
@@ -133,7 +124,7 @@ func pairedSweep(apps, storages []string, arms []RunConfig, build func(app strin
 			}
 		}
 	}
-	reps, err := SweepSeeds(cfgs, opt)
+	reps, err := SweepSeeds(cfgs, o.Sweep)
 	if err != nil {
 		return nil, err
 	}
@@ -217,21 +208,23 @@ func (c PairedCell) CostOverhead() float64 {
 // FailureStudy runs the failure-sensitivity study and renders it: a
 // table reporting makespan inflation, retry counts and cost overhead
 // versus the failure-free baseline, plus one per-application delta chart
-// (±stddev whiskers when Sweep.Seeds > 1). All cells dispatch through
-// the sweep engine as one batch, so the study parallelizes across apps,
-// storages, rates and seeds at once and is bit-identical at any
-// parallelism.
-func FailureStudy(o FailureStudyOptions) ([]FailureCell, string, error) {
-	o.normalize()
-	arms := make([]RunConfig, len(o.Rates))
-	for i, rate := range o.Rates {
-		arms[i] = RunConfig{Workers: o.Workers, Faults: wms.Faults{FailureRate: rate, MaxRetries: o.MaxRetries}}
-		if rate > 0 {
-			arms[i].FailureSeed = o.FailureSeed
+// (±stddev whiskers when Sweep.Seeds > 1). It reads the failure knobs of
+// o.Faults (FailureRate, MaxRetries, FailureSeed), o.Workers, o.Apps,
+// o.Storages, o.Build and o.Sweep. All cells dispatch through the sweep
+// engine as one batch, so the study parallelizes across apps, storages,
+// rates and seeds at once and is bit-identical at any parallelism.
+func FailureStudy(o StudyOptions) ([]PairedCell, string, error) {
+	o = o.withMatrix(FaultStudyStorages())
+	var arms []RunConfig
+	for _, rate := range rateLadder(o.Faults.FailureRate, FailureRates()) {
+		arm := RunConfig{Workers: o.Workers, Faults: wms.Faults{FailureRate: rate, MaxRetries: o.Faults.MaxRetries}}
+		if rate != 0 {
+			arm.FailureSeed = o.Faults.FailureSeed
 		}
+		arms = append(arms, arm)
 	}
 	// The first rate is 0, so each block's baseline is failure-free.
-	cells, err := pairedSweep(o.Apps, o.Storages, arms, o.Build, o.Sweep)
+	cells, err := pairedSweep(o, arms)
 	if err != nil {
 		return nil, "", err
 	}
@@ -240,7 +233,7 @@ func FailureStudy(o FailureStudyOptions) ([]FailureCell, string, error) {
 
 // renderFailureStudy renders the study table and per-application
 // makespan-overhead charts.
-func renderFailureStudy(o FailureStudyOptions, cells []FailureCell) string {
+func renderFailureStudy(o StudyOptions, cells []PairedCell) string {
 	t := &report.Table{
 		Title: fmt.Sprintf("Failure-sensitivity study (%d workers, per-attempt failure rates, %d seed(s))",
 			o.Workers, seedsOf(o.Sweep)),
@@ -267,23 +260,33 @@ func renderFailureStudy(o FailureStudyOptions, cells []FailureCell) string {
 	}
 	var b strings.Builder
 	b.WriteString(t.String())
-	for _, app := range o.Apps {
+	writeDeltaCharts(&b, o.Apps, cells, "failure-free", func(c RunConfig) float64 { return c.FailureRate })
+	return b.String()
+}
+
+// writeDeltaCharts appends one chart per application of each cell's
+// paired makespan delta against its baseline, one bar per cell at a
+// non-zero rate; rate reads the studied rate off a cell.
+func writeDeltaCharts(b *strings.Builder, apps []string, cells []PairedCell, baseline string, rate func(RunConfig) float64) {
+	for _, app := range apps {
 		chart := &report.BarChart{
-			Title: fmt.Sprintf("%s: makespan overhead vs failure-free baseline (s)", title(app)),
+			Title: fmt.Sprintf("%s: makespan overhead vs %s baseline (s)", title(app), baseline),
 			Unit:  "s",
 		}
 		for _, c := range cells {
-			if c.Config.App != app || c.Config.FailureRate == 0 {
+			if c.Config.App != app || rate(c.Config) == 0 {
 				continue
 			}
+			label := fmt.Sprintf("%s r=%g", c.Config.Storage, rate(c.Config))
+			if c.Checkpointed() {
+				label += " +ckpt"
+			}
 			d := c.MakespanDelta()
-			chart.AddErr(fmt.Sprintf("%s r=%g", c.Config.Storage, c.Config.FailureRate),
-				d.Mean, d.Stddev)
+			chart.AddErr(label, d.Mean, d.Stddev)
 		}
 		b.WriteByte('\n')
 		b.WriteString(chart.String())
 	}
-	return b.String()
 }
 
 // fmtPM formats a summary as "mean ± stddev", dropping the band when

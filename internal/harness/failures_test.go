@@ -131,8 +131,8 @@ func TestSweepSeedsPairsFailureReplicates(t *testing.T) {
 // rows and error bars.
 func TestFailureStudySmoke(t *testing.T) {
 	t.Parallel()
-	cells, out, err := FailureStudy(FailureStudyOptions{
-		Rates:    []float64{0.3},
+	cells, out, err := FailureStudy(StudyOptions{
+		Faults:   wms.Faults{FailureRate: 0.3},
 		Apps:     []string{"montage", "broadband"},
 		Storages: []string{"gluster-nufa", "s3"},
 		Workers:  2,
@@ -179,8 +179,8 @@ func TestFailureStudySmoke(t *testing.T) {
 func TestFailureStudyDeterministic(t *testing.T) {
 	t.Parallel()
 	render := func(parallel int) string {
-		_, out, err := FailureStudy(FailureStudyOptions{
-			Rates:    []float64{0.2},
+		_, out, err := FailureStudy(StudyOptions{
+			Faults:   wms.Faults{FailureRate: 0.2},
 			Apps:     []string{"epigenome"},
 			Storages: []string{"gluster-nufa", "pvfs"},
 			Workers:  2,
@@ -198,37 +198,55 @@ func TestFailureStudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestFailureStudyDefaults pins the zero-value study configuration: the
-// canonical rate ladder (a regression — an empty Rates once normalized
-// to baseline-only), the paper's three applications and the studied
-// storage systems.
-func TestFailureStudyDefaults(t *testing.T) {
-	t.Parallel()
-	o := FailureStudyOptions{}
-	o.normalize()
-	if len(o.Rates) != len(FailureRates()) {
-		t.Errorf("zero-value Rates = %v, want the canonical ladder %v", o.Rates, FailureRates())
+// oneTaskApp builds a one-task workflow, so a test runs a whole study
+// matrix in milliseconds.
+func oneTaskApp(string) (*workflow.Workflow, error) {
+	w := workflow.New("one-task")
+	w.AddTask(&workflow.Task{ID: "t", Runtime: 1, Outputs: []*workflow.File{w.File("out", 1e6)}})
+	return w, w.Finalize()
+}
+
+// checkStudyMatrix checks that cells cross the paper's applications with
+// storages, arms cells per (app, storage) block, in that order.
+func checkStudyMatrix(t *testing.T, cells []PairedCell, storages []string, arms int) {
+	t.Helper()
+	if want := len(apps.Names()) * len(storages) * arms; len(cells) != want {
+		t.Fatalf("cells = %d, want %d", len(cells), want)
 	}
-	if len(o.Apps) != 3 || len(o.Storages) != len(FailureStudyStorages()) {
-		t.Errorf("zero-value matrix = %v x %v", o.Apps, o.Storages)
-	}
-	if o.Workers != DefaultFailureStudyWorkers {
-		t.Errorf("zero-value Workers = %d", o.Workers)
+	for i, c := range cells {
+		block := i / arms
+		if app, sys := apps.Names()[block/len(storages)], storages[block%len(storages)]; c.Config.App != app || c.Config.Storage != sys {
+			t.Errorf("cell %d runs %s on %s, want %s on %s", i, c.Config.App, c.Config.Storage, app, sys)
+		}
 	}
 }
 
-// TestNormalizeRates pins the ladder normalization: 0 anchors the
-// baseline, duplicates collapse, order is ascending.
-func TestNormalizeRates(t *testing.T) {
+// TestFailureStudyDefaults pins the zero-value study configuration: the
+// canonical rate ladder (a regression — an empty ladder once ran the
+// baseline alone), the paper's three applications, the studied storage
+// systems and 4 workers; and the one-rate ladder {0, r} that a non-zero
+// FailureRate runs.
+func TestFailureStudyDefaults(t *testing.T) {
 	t.Parallel()
-	got := normalizeRates([]float64{0.4, 0.1, 0.1, 0, 0.05})
-	want := []float64{0, 0.05, 0.1, 0.4}
-	if len(got) != len(want) {
-		t.Fatalf("normalizeRates = %v, want %v", got, want)
+	cells, _, err := FailureStudy(StudyOptions{Build: oneTaskApp})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalizeRates = %v, want %v", got, want)
+	rates := FailureRates()
+	checkStudyMatrix(t, cells, FaultStudyStorages(), len(rates))
+	for i, c := range cells {
+		if want := rates[i%len(rates)]; c.Config.FailureRate != want || c.Config.Workers != 4 {
+			t.Errorf("cell %d runs rate %g on %d workers, want rate %g on 4", i, c.Config.FailureRate, c.Config.Workers, want)
 		}
+	}
+	cells, _, err = FailureStudy(StudyOptions{
+		Faults: wms.Faults{FailureRate: 0.3},
+		Apps:   []string{"epigenome"}, Storages: []string{"s3"}, Build: oneTaskApp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 2 || cells[0].Config.FailureRate != 0 || cells[1].Config.FailureRate != 0.3 {
+		t.Errorf("FailureRate 0.3 ran %d cells, want the ladder {0, 0.3}", len(cells))
 	}
 }

@@ -113,7 +113,7 @@ func collectGolden(t *testing.T) goldenData {
 	for _, rate := range []float64{0, 0.1} {
 		r, err := RunCached(RunConfig{
 			App: "montage", Storage: "pvfs",
-			Workers: DefaultFailureStudyWorkers, Faults: wms.Faults{FailureRate: rate},
+			Workers: DefaultStudyWorkers, Faults: wms.Faults{FailureRate: rate},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func collectGolden(t *testing.T) goldenData {
 	for _, rate := range []float64{0, 1} {
 		r, err := RunCached(RunConfig{
 			App: "montage", Storage: "pvfs",
-			Workers: DefaultOutageStudyWorkers,
+			Workers: DefaultStudyWorkers,
 			Faults:  wms.Faults{OutageRate: rate, CheckpointInterval: DefaultOutageStudyCheckpoint},
 		})
 		if err != nil {

@@ -80,12 +80,15 @@ func (r *RunResult) Completed() int {
 	return n
 }
 
-// Run executes one experiment cell at the requested scale. The spec is
-// validated up front, so an unknown application, storage system or
-// worker type — a typo in a spec file, say — fails with a typed
-// *scenario.UnknownNameError listing the valid names, a worker count
-// the storage system cannot form with a *storage.WorkersError, and a
-// fault knob out of range with a *wms.FaultError.
+// Run executes one experiment cell at the requested scale. A
+// replicate-0 catalog cell runs on the process-wide paper-scale DAG of
+// its (App, AppSeed), the one every sweep cell shares (withPaperDAG).
+// The spec is validated up front, so an unknown application, storage
+// system or worker type — a typo in a spec file, say — fails with a
+// typed *scenario.UnknownNameError listing the valid names, a worker
+// count the storage system cannot form with a *storage.WorkersError, a
+// bad initialize_bytes with a *scenario.RangeError, and a fault knob out
+// of range with a *wms.FaultError.
 func Run(cfg RunConfig) (*RunResult, error) {
 	r, _, err := runWith(cfg, nil)
 	return r, err
@@ -99,11 +102,13 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
 	}
+	cfg, err := withPaperDAG(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
 	w := cfg.Workflow
 	if w == nil {
-		var err error
-		w, err = apps.PaperScaleSeeded(cfg.App, cfg.AppSeed)
-		if err != nil {
+		if w, err = apps.PaperScaleSeeded(cfg.App, cfg.AppSeed); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -72,15 +72,13 @@ func TestSweepSeedsPairsOutageReplicates(t *testing.T) {
 // rendering must include baseline rows and error bars.
 func TestOutageStudySmoke(t *testing.T) {
 	t.Parallel()
-	cells, out, err := OutageStudy(OutageStudyOptions{
-		Rates:              []float64{20},
-		Duration:           60,
-		CheckpointInterval: 15,
-		Apps:               []string{"montage", "broadband"},
-		Storages:           []string{"gluster-nufa", "s3"},
-		Workers:            2,
-		Build:              buildSmallApp,
-		Sweep:              SweepOptions{Seeds: 2},
+	cells, out, err := OutageStudy(StudyOptions{
+		Faults:   wms.Faults{OutageRate: 20, OutageDuration: 60, CheckpointInterval: 15},
+		Apps:     []string{"montage", "broadband"},
+		Storages: []string{"gluster-nufa", "s3"},
+		Workers:  2,
+		Build:    buildSmallApp,
+		Sweep:    SweepOptions{Seeds: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,15 +124,13 @@ func TestOutageStudySmoke(t *testing.T) {
 func TestOutageStudyDeterministic(t *testing.T) {
 	t.Parallel()
 	render := func(parallel int) string {
-		_, out, err := OutageStudy(OutageStudyOptions{
-			Rates:              []float64{10},
-			Duration:           60,
-			CheckpointInterval: 20,
-			Apps:               []string{"epigenome"},
-			Storages:           []string{"gluster-nufa", "pvfs"},
-			Workers:            2,
-			Build:              buildSmallApp,
-			Sweep:              SweepOptions{Seeds: 3, Parallel: parallel, NoMemo: true},
+		_, out, err := OutageStudy(StudyOptions{
+			Faults:   wms.Faults{OutageRate: 10, OutageDuration: 60, CheckpointInterval: 20},
+			Apps:     []string{"epigenome"},
+			Storages: []string{"gluster-nufa", "pvfs"},
+			Workers:  2,
+			Build:    buildSmallApp,
+			Sweep:    SweepOptions{Seeds: 3, Parallel: parallel, NoMemo: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -147,21 +143,34 @@ func TestOutageStudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestOutageStudyDefaults pins the zero-value study configuration.
+// TestOutageStudyDefaults pins the zero-value study configuration: the
+// canonical rate ladder without and with checkpointing, the paper's
+// three applications, the studied storage systems, 4 workers, 120 s
+// outages on the arms with a non-zero rate and a 120 s checkpoint
+// interval, which the title prints.
 func TestOutageStudyDefaults(t *testing.T) {
 	t.Parallel()
-	o := OutageStudyOptions{}
-	o.normalize()
-	if len(o.Rates) != len(OutageRates()) {
-		t.Errorf("zero-value Rates = %v, want the canonical ladder %v", o.Rates, OutageRates())
+	cells, out, err := OutageStudy(StudyOptions{Build: oneTaskApp})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(o.Apps) != 3 || len(o.Storages) != len(OutageStudyStorages()) {
-		t.Errorf("zero-value matrix = %v x %v", o.Apps, o.Storages)
+	rates := OutageRates()
+	checkStudyMatrix(t, cells, FaultStudyStorages(), 2*len(rates))
+	for i, c := range cells {
+		arm := i % (2 * len(rates))
+		want := RunConfig{App: c.Config.App, Storage: c.Config.Storage, Workers: 4, Workflow: c.Config.Workflow,
+			Faults: wms.Faults{OutageRate: rates[arm%len(rates)]}}
+		if want.OutageRate != 0 {
+			want.OutageDuration = 120
+		}
+		if arm >= len(rates) {
+			want.CheckpointInterval = 120
+		}
+		if c.Config != want {
+			t.Errorf("cell %d = %+v, want %+v", i, c.Config, want)
+		}
 	}
-	if o.Workers != DefaultOutageStudyWorkers {
-		t.Errorf("zero-value Workers = %d", o.Workers)
-	}
-	if o.Duration != DefaultOutageStudyDuration || o.CheckpointInterval != DefaultOutageStudyCheckpoint {
-		t.Errorf("zero-value duration/interval = %g/%g", o.Duration, o.CheckpointInterval)
+	if first, _, _ := strings.Cut(out, "\n"); !strings.Contains(first, "mean outage 2m00.0s, checkpoint interval 2m00.0s") {
+		t.Errorf("title %q does not print the 120 s defaults", first)
 	}
 }

@@ -72,7 +72,9 @@ func configFromHeader(h eventlog.Header) (RunConfig, error) {
 // RunRecorded is Run with event recording: the cell's full structured
 // event stream is written to out as a replayable log. Recording leaves
 // the simulation itself untouched — the result is bit-identical to an
-// unrecorded Run of the same configuration.
+// unrecorded Run of the same configuration. The header describes cfg as
+// given, so a catalog cell's log stays catalog-keyed although the run
+// uses the shared paper-scale DAG.
 func RunRecorded(cfg RunConfig, out io.Writer) (*RunResult, error) {
 	h, err := headerFor(cfg)
 	if err != nil {
@@ -222,18 +224,8 @@ type RecordedCell struct {
 func SweepRecorded(cfgs []RunConfig, parallel int) ([]RecordedCell, error) {
 	eng := &sweep.Engine[RunConfig, RecordedCell]{
 		Run: func(cfg RunConfig) (RecordedCell, error) {
-			// The header reflects the configuration as given: catalog
-			// cells stay catalog-keyed even though execution substitutes
-			// the shared pre-built DAG below.
-			h, err := headerFor(cfg)
-			if err != nil {
-				return RecordedCell{}, err
-			}
-			if cfg, err = withPaperDAG(cfg); err != nil {
-				return RecordedCell{}, err
-			}
 			var buf bytes.Buffer
-			r, err := runRecorded(cfg, h, &buf)
+			r, err := RunRecorded(cfg, &buf)
 			if err != nil {
 				return RecordedCell{}, fmt.Errorf("harness: %s on %s with %d workers: %w",
 					cfg.App, cfg.Storage, cfg.Workers, err)

@@ -11,7 +11,7 @@ import (
 // rendered table and figures.
 func TestScaleStudySmall(t *testing.T) {
 	t.Parallel()
-	o := ScaleStudyOptions{
+	o := StudyOptions{
 		Sizes:    []int{2, 4, 8},
 		Apps:     []string{"montage"},
 		Storages: []string{"gluster-nufa", "pvfs"},
@@ -55,7 +55,7 @@ func TestScaleStudySmall(t *testing.T) {
 func TestScaleStudyDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	run := func(parallel int) string {
-		_, out, err := ScaleStudy(ScaleStudyOptions{
+		_, out, err := ScaleStudy(StudyOptions{
 			Sizes:    []int{2, 4},
 			Apps:     []string{"montage"},
 			Storages: []string{"gluster-nufa"},
@@ -78,7 +78,7 @@ func TestScaleStudyDeterministicAcrossParallelism(t *testing.T) {
 func TestScaleStudyLeavesCallerSizes(t *testing.T) {
 	t.Parallel()
 	sizes := []int{4, 2, 2}
-	cells, _, err := ScaleStudy(ScaleStudyOptions{
+	cells, _, err := ScaleStudy(StudyOptions{
 		Sizes:    sizes,
 		Apps:     []string{"montage"},
 		Storages: []string{"gluster-nufa"},

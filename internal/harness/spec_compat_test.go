@@ -8,6 +8,7 @@ import (
 
 	"ec2wfsim/internal/rng"
 	"ec2wfsim/internal/scenario"
+	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/wms"
 )
 
@@ -214,44 +215,64 @@ func TestReseedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStudySeedOptions checks the CLI-exposed study seeds reach the
-// study cells (and only them — the rate-0 baselines must stay on the
-// default stream so CellKey normalization keeps pairing them).
+// TestStudySeedOptions checks that the study knobs reach the study cells
+// through AblationSweep, wfbench's one path into the studies: every
+// failure arm gets MaxRetries, only the arms with a non-zero rate get the
+// failure or outage seed and the outage duration (the rate-0 baselines
+// stay on the default stream so CellKey normalization keeps pairing
+// them), and the checkpointed arm gets CheckpointInterval.
 func TestStudySeedOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two scaled-down studies")
+	configs := func(name string, f wms.Faults) []RunConfig {
+		var cfgs []RunConfig
+		_, _, err := AblationSweep(name, StudyOptions{
+			Faults: f,
+			Apps:   []string{"montage"}, Storages: []string{"gluster-nufa"}, Workers: 2,
+			Build: oneTaskApp,
+			// Progress calls are serialized.
+			Sweep: SweepOptions{Progress: func(u sweep.Update[RunConfig, *RunResult]) { cfgs = append(cfgs, u.Config) }},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfgs
 	}
-	fcells, _, err := FailureStudy(FailureStudyOptions{
-		Rates: []float64{0.2}, FailureSeed: 77,
-		Apps: []string{"montage"}, Storages: []string{"gluster-nufa"}, Workers: 2,
-		Build: buildSmallApp,
-	})
-	if err != nil {
-		t.Fatal(err)
+	fcells := configs("failures", wms.Faults{FailureRate: 0.2, MaxRetries: 5, FailureSeed: 77})
+	if len(fcells) != 2 {
+		t.Fatalf("failure study ran %d cells, want 2", len(fcells))
 	}
 	for _, c := range fcells {
-		if c.Config.FailureRate > 0 && c.Config.FailureSeed != 77 {
-			t.Errorf("failure cell lost its seed: %+v", c.Config)
+		if c.MaxRetries != 5 {
+			t.Errorf("failure cell lost MaxRetries: %+v", c)
 		}
-		if c.Config.FailureRate == 0 && c.Config.FailureSeed != 0 {
-			t.Errorf("baseline unexpectedly reseeded: %+v", c.Config)
+		if c.FailureRate > 0 && c.FailureSeed != 77 {
+			t.Errorf("failure cell lost its seed: %+v", c)
+		}
+		if c.FailureRate == 0 && c.FailureSeed != 0 {
+			t.Errorf("baseline unexpectedly reseeded: %+v", c)
 		}
 	}
-	ocells, _, err := OutageStudy(OutageStudyOptions{
-		Rates: []float64{2}, OutageSeed: 88,
-		Apps: []string{"montage"}, Storages: []string{"gluster-nufa"}, Workers: 2,
-		Build: buildSmallApp,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ocells := configs("outages", wms.Faults{OutageRate: 2, OutageDuration: 60, OutageSeed: 88, CheckpointInterval: 30})
+	if len(ocells) != 4 {
+		t.Fatalf("outage study ran %d cells, want 4", len(ocells))
 	}
+	checkpointed := 0
 	for _, c := range ocells {
-		if c.Config.OutageRate > 0 && c.Config.OutageSeed != 88 {
-			t.Errorf("outage cell lost its seed: %+v", c.Config)
+		if c.OutageRate > 0 && (c.OutageSeed != 88 || c.OutageDuration != 60) {
+			t.Errorf("outage cell lost its seed or duration: %+v", c)
 		}
-		if c.Config.OutageRate == 0 && c.Config.OutageSeed != 0 {
-			t.Errorf("baseline unexpectedly reseeded: %+v", c.Config)
+		if c.OutageRate == 0 && (c.OutageSeed != 0 || c.OutageDuration != 0) {
+			t.Errorf("baseline unexpectedly reseeded: %+v", c)
 		}
+		switch c.CheckpointInterval {
+		case 30:
+			checkpointed++
+		case 0:
+		default:
+			t.Errorf("cell checkpoints every %g s, want 0 or 30: %+v", c.CheckpointInterval, c)
+		}
+	}
+	if checkpointed != 2 {
+		t.Errorf("%d cells checkpoint every 30 s, want the checkpointed arm's 2", checkpointed)
 	}
 }
 

@@ -127,10 +127,10 @@ func paperWorkflow(app string, seed uint64) (*workflow.Workflow, error) {
 }
 
 // withPaperDAG substitutes the shared paper-scale DAG into a
-// replicate-0 catalog cell, so a sweep's cells share one immutable
-// workflow. Derived replicates use their per-seed DAG once, so Run
-// builds (and drops) it. Run, RunRecorded and Replay build their own
-// DAG, so a library caller looping over seeds keeps none alive.
+// replicate-0 catalog cell, so every run of a catalog cell — Run,
+// RunRecorded, Replay and every sweep cell — shares one immutable
+// workflow per (app, AppSeed). Derived replicates use their per-seed
+// DAG once, so runWith builds (and drops) it.
 func withPaperDAG(cfg RunConfig) (RunConfig, error) {
 	if cfg.Workflow != nil || cfg.App == "" || cfg.Replicate > 0 {
 		return cfg, nil
@@ -140,12 +140,8 @@ func withPaperDAG(cfg RunConfig) (RunConfig, error) {
 	return cfg, err
 }
 
-// runCell executes one sweep cell on the shared paper-scale DAG.
+// runCell executes one sweep cell, naming the cell in its error.
 func runCell(cfg RunConfig) (*RunResult, error) {
-	cfg, err := withPaperDAG(cfg)
-	if err != nil {
-		return nil, err
-	}
 	r, err := Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s on %s with %d workers: %w", cfg.App, cfg.Storage, cfg.Workers, err)

@@ -23,6 +23,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"ec2wfsim/internal/apps"
@@ -144,14 +145,27 @@ func ValidateWorkerType(name string) error {
 	return nil
 }
 
+// RangeError reports a numeric spec field outside its range.
+type RangeError struct {
+	Field string  // the field's spec JSON key, e.g. "initialize_bytes"
+	Value float64 // the rejected value
+	Want  string  // the accepted range
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("scenario: %s %g is outside %s", e.Field, e.Value, e.Want)
+}
+
 // Validate checks every cell the same way, wherever it came from, so a
 // bad spec fails before any simulation starts: each catalog-typed field
 // must resolve (an *UnknownNameError lists the valid names), the
 // storage system must be able to form a file system on the worker count
-// (a *storage.WorkersError), and the fault knobs must be in range (a
-// *wms.FaultError names the bad one). App may be empty only when a
-// custom Workflow replaces it; a non-empty App must resolve even then,
-// because replicate seeds hash it.
+// (a *storage.WorkersError), InitializeBytes must be finite and
+// non-negative whether or not InitializeDisks is set (a *RangeError; a
+// NaN once gave every disk a free initialization), and the fault knobs
+// must be in range (a *wms.FaultError names the bad one). App may be
+// empty only when a custom Workflow replaces it; a non-empty App must
+// resolve even then, because replicate seeds hash it.
 func (s *Spec) Validate() error {
 	if s.App != "" || s.Workflow == nil {
 		if err := ValidateApp(s.App); err != nil {
@@ -166,6 +180,9 @@ func (s *Spec) Validate() error {
 	}
 	if err := storage.CheckWorkers(s.Storage, s.Workers); err != nil {
 		return err
+	}
+	if !(s.InitializeBytes >= 0 && s.InitializeBytes <= math.MaxFloat64) {
+		return &RangeError{Field: "initialize_bytes", Value: s.InitializeBytes, Want: "[0, ∞)"}
 	}
 	return s.Faults.Validate()
 }

@@ -352,6 +352,39 @@ func TestSpecFileRejectsBadKnobs(t *testing.T) {
 	}
 }
 
+// TestValidateInitializeBytes: a NaN, infinite or negative
+// initialize_bytes fails with a *RangeError naming the key, whether or
+// not initialize_disks is set. A NaN once gave every disk a free
+// initialization, and a negative count ran as a full fill but keyed as
+// its own cell. JSON cannot carry a NaN, so a spec file tries -1e12.
+func TestValidateInitializeBytes(t *testing.T) {
+	check := func(what string, err error) {
+		t.Helper()
+		var re *RangeError
+		if !errors.As(err, &re) || re.Field != "initialize_bytes" {
+			t.Errorf("%s: err = %v, want a *RangeError for initialize_bytes", what, err)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, on := range []bool{false, true} {
+			s := Spec{App: "epigenome", Storage: "nfs", Workers: 2, InitializeDisks: on, InitializeBytes: v}
+			check(fmt.Sprintf("Validate(%g, initialize_disks %t)", v, on), s.Validate())
+		}
+	}
+	e, err := Read(strings.NewReader(`{"app": "epigenome", "storage": "nfs", "workers": 2, "initialize_disks": true, "initialize_bytes": -1e12}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Cells()
+	check("spec file with initialize_bytes -1e12", err)
+	for _, v := range []float64{0, 50e9} {
+		s := Spec{App: "epigenome", Storage: "nfs", Workers: 2, InitializeDisks: true, InitializeBytes: v}
+		if err := s.Validate(); err != nil {
+			t.Errorf("Validate(initialize_bytes %g) = %v", v, err)
+		}
+	}
+}
+
 func TestExperimentCells(t *testing.T) {
 	e := Experiment{
 		Base: Spec{App: "montage", Storage: "nfs", Workers: 1},
@@ -451,11 +484,11 @@ func TestExperimentWriteReadRoundTrip(t *testing.T) {
 // JSON round-trips are lossless, and the canonical key is stable across
 // them (the serialized form memoizes identically to the original).
 func FuzzSpecRoundTrip(f *testing.F) {
-	f.Add("montage", "nfs", 2, "c1.xlarge", false, uint64(0), uint64(0), 0.0, 0, uint64(0), 0.0, 0.0, uint64(0), 0.0)
-	f.Add("broadband", "s3", 8, "", true, uint64(7), uint64(3), 0.1, 5, uint64(9), 1.5, 90.0, uint64(11), 60.5)
-	f.Add("a|b", "c:d", -1, "weird\"type", false, ^uint64(0), uint64(1)<<63, -0.5, -3, uint64(1), 1e300, -1e-9, ^uint64(0)>>1, 0.0)
+	f.Add("montage", "nfs", 2, "c1.xlarge", false, uint64(0), uint64(0), false, 0.0, 0.0, 0, uint64(0), 0.0, 0.0, uint64(0), 0.0)
+	f.Add("broadband", "s3", 8, "", true, uint64(7), uint64(3), true, 50e9, 0.1, 5, uint64(9), 1.5, 90.0, uint64(11), 60.5)
+	f.Add("a|b", "c:d", -1, "weird\"type", false, ^uint64(0), uint64(1)<<63, true, -1e12, -0.5, -3, uint64(1), 1e300, -1e-9, ^uint64(0)>>1, 0.0)
 	f.Fuzz(func(t *testing.T, app, storage string, workers int, wt string, aware bool,
-		seed, appSeed uint64, failRate float64, retries int, failSeed uint64,
+		seed, appSeed uint64, initDisks bool, initBytes float64, failRate float64, retries int, failSeed uint64,
 		outRate, outDur float64, outSeed uint64, ckpt float64) {
 		for _, name := range []string{app, storage, wt} {
 			if !utf8.ValidString(name) {
@@ -465,6 +498,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		s := Spec{
 			App: app, Storage: storage, Workers: workers, WorkerType: wt,
 			DataAware: aware, Seed: seed, AppSeed: appSeed,
+			InitializeDisks: initDisks, InitializeBytes: initBytes,
 			Faults: wms.Faults{
 				FailureRate: failRate, MaxRetries: retries, FailureSeed: failSeed,
 				OutageRate: outRate, OutageDuration: outDur, OutageSeed: outSeed,
