@@ -14,9 +14,11 @@
 //	BenchmarkS3CacheAblation       §IV.A     S3 client-cache ablation
 //	BenchmarkNFSServerAblation     §V.C      m1.xlarge vs m2.4xlarge NFS server
 //
-// Each iteration executes the full paper-scale experiment; custom metrics
-// (reported via b.ReportMetric) carry the headline values so `go test
-// -bench` output doubles as a results table.
+// Each iteration executes the full paper-scale experiment: the grid and
+// cost benchmarks sweep with SweepOptions.NoMemo, bypassing the
+// process-wide cell memo, and the others call harness.Run, which has
+// none. Custom metrics (reported via b.ReportMetric) carry the headline
+// values so `go test -bench` output doubles as a results table.
 package ec2wfsim
 
 import (
@@ -31,23 +33,33 @@ import (
 	"ec2wfsim/internal/wfprof"
 )
 
-// benchGrid runs one application's full figure grid per iteration and
-// reports the headline series values as custom metrics.
-func benchGrid(b *testing.B, app string, metricCells map[string][2]interface{}) {
+// sweepGrid simulates one application's full figure grid per iteration,
+// bypassing the process-wide cell memo, and returns the last
+// iteration's results in grid order.
+func sweepGrid(b *testing.B, app string) []*harness.RunResult {
 	b.Helper()
-	var cells []harness.Cell
+	cfgs := harness.GridConfigs(app)
+	var results []*harness.RunResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		cells, err = harness.Grid(app, nil)
+		results, err = harness.Sweep(cfgs, harness.SweepOptions{NoMemo: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	return results
+}
+
+// benchGrid runs one application's full figure grid per iteration and
+// reports the headline series values as custom metrics.
+func benchGrid(b *testing.B, app string, metricCells map[string][2]interface{}) {
+	b.Helper()
+	results := sweepGrid(b, app)
 	for name, key := range metricCells {
-		sys := key[0].(string)
-		n := key[1].(int)
-		if c := harness.Find(cells, sys, n); c != nil {
-			b.ReportMetric(c.Result.Makespan, name)
+		for _, r := range results {
+			if r.Config.Storage == key[0].(string) && r.Config.Workers == key[1].(int) {
+				b.ReportMetric(r.Makespan, name)
+			}
 		}
 	}
 }
@@ -96,20 +108,13 @@ func BenchmarkFig4BroadbandGrid(b *testing.B) {
 // deployment, regenerating the corresponding cost figure.
 func benchCost(b *testing.B, app string) {
 	b.Helper()
-	var cells []harness.Cell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = harness.Grid(app, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	results := sweepGrid(b, app)
 	bestHour, bestSec := 1e18, 1e18
-	for _, c := range cells {
-		if v := c.Result.CostHour.Total(); v < bestHour {
+	for _, r := range results {
+		if v := r.CostHour.Total(); v < bestHour {
 			bestHour = v
 		}
-		if v := c.Result.CostSecond.Total(); v < bestSec {
+		if v := r.CostSecond.Total(); v < bestSec {
 			bestSec = v
 		}
 	}

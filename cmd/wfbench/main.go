@@ -12,6 +12,10 @@
 // the failure/outage studies. -spec runs a whole serialized experiment
 // (a wfsim -emit-spec file, or a hand-written grid) instead.
 //
+// -csv, -json, -table1, -disk, -fig, -ablation, -failure-rate and
+// -outage-rate each select what wfbench prints, one at a time; with none
+// of them it prints everything.
+//
 // Usage:
 //
 //	wfbench                      # everything
@@ -45,6 +49,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ec2wfsim/internal/apps"
@@ -54,12 +59,13 @@ import (
 	"ec2wfsim/internal/sweep"
 )
 
-// replicatedStudies are the ablations that honour -seeds; the others
-// render fixed single-seed cells.
-var replicatedStudies = map[string]bool{"failures": true, "outages": true, "scale": true, "scale1000": true}
-
-// replicatedModes names every mode -seeds replicates.
-const replicatedModes = "figures, grid exports and the failures, outages, scale and scale1000 studies"
+// replicatedModes names every mode -seeds replicates: the studies honour
+// -seeds, the other ablations render fixed single-seed cells.
+var replicatedModes = func() string {
+	s := harness.StudyNames()
+	last := len(s) - 1
+	return "figures, grid exports and the " + strings.Join(s[:last], ", ") + " and " + s[last] + " studies"
+}()
 
 func main() {
 	// Scenario knob flags come from the shared option table (identity
@@ -127,24 +133,33 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	}
 	failureStudy := spec.FailureRate > 0 || ablation == "failures"
 	outageStudy := spec.OutageRate > 0 || ablation == "outages"
-	if failureStudy && outageStudy {
-		return fmt.Errorf("the failure and outage studies run separately; pick one of -failure-rate/-ablation failures and -outage-rate/-ablation outages")
-	}
-	if (failureStudy || outageStudy) && (csvPath != "" || jsonPath != "" || table1 || diskTable || fig != 0 ||
-		((spec.FailureRate > 0 || spec.OutageRate > 0) && ablation != "")) {
-		return fmt.Errorf("the failure/outage studies run alone; drop -csv/-json/-table1/-disk/-ablation/-fig")
-	}
 	if (spec.MaxRetries != 0 || spec.FailureSeed != 0) && !failureStudy {
 		return fmt.Errorf("-max-retries and -failure-seed apply to the failure study; add -failure-rate or -ablation failures")
 	}
 	if (spec.OutageDuration != 0 || spec.OutageSeed != 0 || spec.CheckpointInterval != 0) && !outageStudy {
 		return fmt.Errorf("-outage-duration, -outage-seed and -checkpoint-interval apply to the outage study; add -outage-rate or -ablation outages")
 	}
-	if seeds > 1 && (table1 || diskTable || (ablation != "" && !replicatedStudies[ablation])) {
+	if seeds > 1 && (table1 || diskTable || (ablation != "" && !slices.Contains(harness.StudyNames(), ablation))) {
 		// Table I, the disk table and the fixed-cell ablations render the
 		// paper's single measurements; failing loudly beats silently
 		// printing unreplicated numbers under a -seeds flag.
 		return fmt.Errorf("-seeds replicates %s; this mode renders single-seed numbers", replicatedModes)
+	}
+	// Each of these flags selects what wfbench prints; a run prints one.
+	var outputs []string
+	for _, o := range []struct {
+		flag string
+		set  bool
+	}{
+		{"-csv", csvPath != ""}, {"-json", jsonPath != ""}, {"-table1", table1}, {"-disk", diskTable}, {"-fig", fig != 0},
+		{"-ablation", ablation != ""}, {"-failure-rate", spec.FailureRate > 0}, {"-outage-rate", spec.OutageRate > 0},
+	} {
+		if o.set {
+			outputs = append(outputs, o.flag)
+		}
+	}
+	if len(outputs) > 1 {
+		return fmt.Errorf("%s each select what wfbench prints; pick one", strings.Join(outputs, ", "))
 	}
 	// -failure-rate and -outage-rate study one rate; the studies' -ablation
 	// names sweep the canonical ladders.
@@ -188,7 +203,7 @@ func run(spec *scenario.Spec, specPath, eventsDir, cacheDir string, fig int, tab
 	fmt.Print(harness.DiskBench().String())
 	for f := 2; f <= 4; f++ {
 		fmt.Println()
-		out, costOut, _, err := harness.GridFigures(f, opt)
+		out, costOut, err := harness.GridFigures(f, opt)
 		if err != nil {
 			return err
 		}
@@ -410,7 +425,7 @@ func printFigure(fig int, opt harness.SweepOptions) error {
 	if cost {
 		fig -= 3
 	}
-	runtimeOut, costOut, _, err := harness.GridFigures(fig, opt)
+	runtimeOut, costOut, err := harness.GridFigures(fig, opt)
 	if err != nil {
 		return err
 	}

@@ -2,17 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ec2wfsim/internal/apps"
-	"ec2wfsim/internal/disk"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/units"
 )
-
-// diskSingle and diskRAID0x4 expose the disk profiles for reports.
-func diskSingle() disk.Profile  { return disk.EphemeralSingle() }
-func diskRAID0x4() disk.Profile { return disk.RAID0(disk.EphemeralSingle(), 4) }
 
 // AblationResult pairs a configuration label with its cell.
 type AblationResult struct {
@@ -20,57 +16,70 @@ type AblationResult struct {
 	Result *RunResult
 }
 
-// Ablation runs one named ablation experiment, a key of ablations or of
-// studies, at its defaults.
-func Ablation(name string) ([]AblationResult, string, error) {
-	return AblationSweep(name, StudyOptions{})
-}
-
-// AblationSweep runs one named ablation experiment. A study reads all of
-// o and returns its rendering alone; a fixed-cell ablation reads only
-// o.Sweep. Each ablation's cells dispatch through the sweep engine as
-// one concurrent batch, and cells shared with the figure grids (most
-// ablations reuse grid configurations) come from the process-wide
-// cache.
+// AblationSweep runs one named experiment of the experiments table. A
+// study reads all of o and returns its rendering alone; a fixed-cell
+// ablation reads only o.Sweep. Each ablation's cells dispatch through
+// the sweep engine as one concurrent batch, and cells shared with the
+// figure grids (most ablations reuse grid configurations) come from the
+// process-wide cache.
 func AblationSweep(name string, o StudyOptions) ([]AblationResult, string, error) {
-	if study, ok := studies[name]; ok {
-		_, out, err := study(o)
-		return nil, out, err
-	}
-	a, ok := ablations[name]
-	if !ok {
+	at := slices.IndexFunc(experiments, func(x experiment) bool { return x.name == name })
+	if at < 0 {
 		return nil, "", fmt.Errorf("harness: unknown ablation %q (want one of %s)", name, strings.Join(AblationNames(), ", "))
 	}
-	results, err := runAblation(a, o.Sweep)
+	x := experiments[at]
+	if x.study != nil {
+		_, out, err := x.study(o)
+		return nil, out, err
+	}
+	cfgs := make([]RunConfig, len(x.cells))
+	for i, c := range x.cells {
+		cfgs[i] = c.cfg
+	}
+	rs, err := Sweep(cfgs, o.Sweep)
 	if err != nil {
 		return nil, "", err
 	}
-	return results, renderAblation(a.title, results), nil
+	results := make([]AblationResult, len(rs))
+	for i, r := range rs {
+		if x.post != nil {
+			x.post(x.cells[i].label, r)
+		}
+		results[i] = AblationResult{Label: x.cells[i].label, Result: r}
+	}
+	return results, renderAblation(x.title, results), nil
 }
 
-// studies are the ablations with their own matrix and renderer
-// (baseline-paired cells, delta charts), keyed by ablation name. Unlike
-// the fixed-cell ablations they honour Sweep.Seeds and the study knobs
-// of StudyOptions.
-var studies = map[string]func(StudyOptions) ([]PairedCell, string, error){
-	"failures": FailureStudy,
-	"outages":  OutageStudy,
-	"scale":    ScaleStudy,
-	// scale1000 jumps from the paper's 8 nodes straight to 1000.
-	"scale1000": func(o StudyOptions) ([]PairedCell, string, error) {
-		o.Sizes = []int{8, 1000}
-		return ScaleStudy(o)
-	},
-}
-
-// AblationNames lists the available ablation experiments.
+// AblationNames lists the named experiments in the order wfbench prints
+// them.
 func AblationNames() []string {
-	return []string{"xtreemfs", "s3cache", "locality", "nfssync", "nfsserver", "diskinit", "workertype", "failures", "outages", "scale", "scale1000"}
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
 }
 
-// ablation declares one experiment: a labelled list of cells plus an
-// optional per-result adjustment applied after the sweep.
-type ablation struct {
+// StudyNames lists, in the same order, the experiments that are
+// studies: the ones that honour Sweep.Seeds and the study knobs.
+func StudyNames() []string {
+	var names []string
+	for _, x := range experiments {
+		if x.study != nil {
+			names = append(names, x.name)
+		}
+	}
+	return names
+}
+
+// experiment is one named experiment. A study has its own matrix and
+// renderer (baseline-paired cells, delta charts) and, unlike a
+// fixed-cell ablation, honours Sweep.Seeds and the study knobs of
+// StudyOptions. A fixed-cell ablation is a labelled list of cells plus
+// an optional per-result adjustment applied after the sweep.
+type experiment struct {
+	name  string
+	study func(StudyOptions) ([]PairedCell, string, error) // set for a study
 	title string
 	cells []ablationCell
 	// post, if set, adjusts each result (which is a private copy) before
@@ -83,41 +92,13 @@ type ablationCell struct {
 	cfg   RunConfig
 }
 
-// runAblation dispatches an ablation's cells through the sweep engine.
-func runAblation(a ablation, opt SweepOptions) ([]AblationResult, error) {
-	cfgs := make([]RunConfig, len(a.cells))
-	for i, c := range a.cells {
-		cfgs[i] = c.cfg
-	}
-	rs, err := Sweep(cfgs, opt)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]AblationResult, len(rs))
-	for i, r := range rs {
-		if a.post != nil {
-			a.post(a.cells[i].label, r)
-		}
-		results[i] = AblationResult{Label: a.cells[i].label, Result: r}
-	}
-	return results, nil
-}
-
-// ablations declares every fixed-cell ablation experiment.
-var ablations = map[string]ablation{
-	// ablateWorkerType checks the paper's Section III.B premise: "we
-	// found that the c1.xlarge type delivers the best overall performance
-	// for the applications considered here". Same dollar budget,
-	// different shapes: 4 c1.xlarge ($2.72/h) vs 4 m1.xlarge ($2.72/h)
-	// vs 8 m1.large ($2.72/h).
-	"workertype": {
-		title: "§III.B premise: worker instance type at equal hourly budget ($2.72/h of workers, GlusterFS NUFA)",
-		cells: workerTypeCells(),
-	},
-
+// experiments is the one list of named experiments, in the order wfbench
+// prints them.
+var experiments = []experiment{
 	// The paper's Section IV note: workflows on XtreemFS took more than
 	// twice as long as on the systems reported.
-	"xtreemfs": {
+	{
+		name:  "xtreemfs",
 		title: "E-X1: Montage on XtreemFS vs reported systems (2 nodes)",
 		cells: []ablationCell{
 			{"gluster-nufa", RunConfig{App: "montage", Storage: "gluster-nufa", Workers: 2}},
@@ -128,7 +109,8 @@ var ablations = map[string]ablation{
 
 	// The S3 client-cache effect on Broadband (Section IV.A / V.C:
 	// caching is what makes S3 win for Broadband).
-	"s3cache": {
+	{
+		name:  "s3cache",
 		title: "A-1: Broadband on S3 with and without the client cache (4 nodes)",
 		cells: []ablationCell{
 			{"s3", RunConfig{App: "broadband", Storage: "s3", Workers: 4}},
@@ -138,7 +120,8 @@ var ablations = map[string]ablation{
 
 	// The paper's future-work suggestion: a data-aware scheduler raising
 	// cache hits and cutting transfers.
-	"locality": {
+	{
+		name:  "locality",
 		title: "A-2: Broadband on GlusterFS NUFA, locality-blind vs data-aware scheduling (4 nodes)",
 		cells: []ablationCell{
 			{"fifo (paper)", RunConfig{App: "broadband", Storage: "gluster-nufa", Workers: 4}},
@@ -147,7 +130,8 @@ var ablations = map[string]ablation{
 	},
 
 	// The async export option quantified (Section IV.B).
-	"nfssync": {
+	{
+		name:  "nfssync",
 		title: "A-4: Montage on NFS, async vs sync exports (2 nodes)",
 		cells: []ablationCell{
 			{"nfs", RunConfig{App: "montage", Storage: "nfs", Workers: 2}},
@@ -157,7 +141,8 @@ var ablations = map[string]ablation{
 
 	// The Broadband big-server experiment (Section V.C: m2.4xlarge
 	// 4368 s vs m1.xlarge 5363 s at 4 nodes).
-	"nfsserver": {
+	{
+		name:  "nfsserver",
 		title: "A-3: Broadband NFS server size at 4 nodes (paper: 5363 s vs 4368 s)",
 		cells: []ablationCell{
 			{"nfs", RunConfig{App: "broadband", Storage: "nfs", Workers: 4}},
@@ -168,7 +153,8 @@ var ablations = map[string]ablation{
 	// Amazon's suggested first-write mitigation: is zero-initializing
 	// the disks worth it for a single Montage run? (The paper argues no:
 	// zeroing 50 GB takes as long as the workflow.)
-	"diskinit": {
+	{
+		name:  "diskinit",
 		title: "A-6: Montage local disk with and without zero-initialization (1 node; init time charged)",
 		cells: []ablationCell{
 			{"uninitialized (paper)", RunConfig{App: "montage", Storage: "local", Workers: 1}},
@@ -185,6 +171,26 @@ var ablations = map[string]ablation{
 			}
 		},
 	},
+
+	// The paper's Section III.B premise: "we found that the c1.xlarge
+	// type delivers the best overall performance for the applications
+	// considered here". Same dollar budget, different shapes: 4
+	// c1.xlarge ($2.72/h) vs 4 m1.xlarge ($2.72/h) vs 8 m1.large
+	// ($2.72/h).
+	{
+		name:  "workertype",
+		title: "§III.B premise: worker instance type at equal hourly budget ($2.72/h of workers, GlusterFS NUFA)",
+		cells: workerTypeCells(),
+	},
+
+	{name: "failures", study: FailureStudy},
+	{name: "outages", study: OutageStudy},
+	{name: "scale", study: ScaleStudy},
+	// scale1000 jumps from the paper's 8 nodes straight to 1000.
+	{name: "scale1000", study: func(o StudyOptions) ([]PairedCell, string, error) {
+		o.Sizes = []int{8, 1000}
+		return ScaleStudy(o)
+	}},
 }
 
 func workerTypeCells() []ablationCell {

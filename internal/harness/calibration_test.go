@@ -15,7 +15,7 @@ func TestCalibrationGrid(t *testing.T) {
 		t.Skip("paper-scale grid is slow; run without -short")
 	}
 	for _, app := range []string{"montage", "epigenome", "broadband"} {
-		cells, err := Grid(app, nil)
+		cells, err := Grid(app)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ec2wfsim/internal/disk"
 	"ec2wfsim/internal/report"
 	"ec2wfsim/internal/sweep"
 	"ec2wfsim/internal/units"
@@ -50,22 +51,22 @@ func TableI() (*report.Table, error) {
 
 // runtimeChart renders a runtime figure from a replicated grid, with
 // ±stddev whiskers whenever the sweep carried more than one seed.
-func runtimeChart(fig int, app string, reps []Replicated, cells []Cell) string {
+func runtimeChart(fig int, app string, reps []Replicated) string {
 	chart := &report.BarChart{
 		Title: fmt.Sprintf("Fig. %d. Performance of %s using different storage systems (makespan, seconds)",
 			fig, title(app)),
 		Unit: "s",
 	}
-	for i, c := range cells {
-		chart.AddErr(fmt.Sprintf("%s n=%d", c.System, c.Workers),
-			reps[i].Makespan.Mean, reps[i].Makespan.Stddev)
+	for _, rep := range reps {
+		chart.AddErr(fmt.Sprintf("%s n=%d", rep.Config.Storage, rep.Config.Workers),
+			rep.Makespan.Mean, rep.Makespan.Stddev)
 	}
 	return chart.String()
 }
 
 // costCharts renders a cost figure (top per-hour, bottom per-second)
 // from a replicated grid, with ±stddev whiskers when replicated.
-func costCharts(fig int, app string, reps []Replicated, cells []Cell) string {
+func costCharts(fig int, app string, reps []Replicated) string {
 	var b strings.Builder
 	hour := &report.BarChart{
 		Title: fmt.Sprintf("Fig. %d (top). %s cost assuming per-hour charges ($)", fig, title(app)),
@@ -75,10 +76,10 @@ func costCharts(fig int, app string, reps []Replicated, cells []Cell) string {
 		Title: fmt.Sprintf("Fig. %d (bottom). %s cost assuming per-second charges ($)", fig, title(app)),
 		Unit:  "$",
 	}
-	for i, c := range cells {
-		label := fmt.Sprintf("%s n=%d", c.System, c.Workers)
-		hour.AddErr(label, reps[i].CostHour.Mean, reps[i].CostHour.Stddev)
-		sec.AddErr(label, reps[i].CostSecond.Mean, reps[i].CostSecond.Stddev)
+	for _, rep := range reps {
+		label := fmt.Sprintf("%s n=%d", rep.Config.Storage, rep.Config.Workers)
+		hour.AddErr(label, rep.CostHour.Mean, rep.CostHour.Stddev)
+		sec.AddErr(label, rep.CostSecond.Mean, rep.CostSecond.Stddev)
 	}
 	b.WriteString(hour.String())
 	b.WriteByte('\n')
@@ -89,23 +90,17 @@ func costCharts(fig int, app string, reps []Replicated, cells []Cell) string {
 // GridFigures regenerates a runtime figure (2-4) and its cost companion
 // (5-7) from one sweep of the application's grid, so multi-seed
 // replicates — which are not memoized — run once and feed both charts'
-// error bars. The cells are the grid's replicate-0 runs: at opt.Seeds
-// <= 1, the paper's single-seed grid.
-func GridFigures(fig int, opt SweepOptions) (runtime, cost string, cells []Cell, err error) {
+// error bars.
+func GridFigures(fig int, opt SweepOptions) (runtime, cost string, err error) {
 	app, ok := appForFigure[fig]
 	if !ok {
-		return "", "", nil, fmt.Errorf("harness: runtime figures are 2-4, got %d", fig)
+		return "", "", fmt.Errorf("harness: runtime figures are 2-4, got %d", fig)
 	}
-	cfgs := GridConfigs(app)
-	reps, err := SweepSeeds(cfgs, opt)
+	reps, err := SweepSeeds(GridConfigs(app), opt)
 	if err != nil {
-		return "", "", nil, err
+		return "", "", err
 	}
-	cells = make([]Cell, len(reps))
-	for i, rep := range reps {
-		cells[i] = Cell{System: cfgs[i].Storage, Workers: cfgs[i].Workers, Result: rep.Runs[0]}
-	}
-	return runtimeChart(fig, app, reps, cells), costCharts(fig+3, app, reps, cells), cells, nil
+	return runtimeChart(fig, app, reps), costCharts(fig+3, app, reps), nil
 }
 
 // DiskBench reproduces the Section III.C ephemeral-disk observations as a
@@ -119,8 +114,8 @@ func DiskBench() *report.Table {
 		t.AddRow(name, units.Rate(first), units.Rate(steady), units.Rate(read),
 			units.Duration(50*units.GB/first))
 	}
-	single := diskSingle()
-	raid := diskRAID0x4()
+	single := disk.EphemeralSingle()
+	raid := disk.RAID0(single, 4)
 	add("1 ephemeral disk", single.FirstWrite, single.SteadyWrite, single.Read)
 	add("RAID0 x 4 disks", raid.FirstWrite, raid.SteadyWrite, raid.Read)
 	return t

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestRuntimeFigureValidation(t *testing.T) {
 	t.Parallel()
 	// Runtime figures are 2-4; no other number names a grid.
 	for _, fig := range []int{1, 8} {
-		if _, _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
+		if _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
 			t.Errorf("GridFigures(%d) should fail", fig)
 		}
 	}
@@ -48,7 +49,7 @@ func TestCostFigureValidation(t *testing.T) {
 	// Cost figures 5-7 are the companions of runtime figures 2-4, rendered
 	// from the same sweep; they are not grid figures of their own.
 	for _, fig := range []int{5, 6, 7} {
-		if _, _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
+		if _, _, err := GridFigures(fig, SweepOptions{}); err == nil {
 			t.Errorf("GridFigures(%d) should fail (cost figure)", fig)
 		}
 	}
@@ -59,7 +60,7 @@ func TestRuntimeAndCostFiguresRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale grids")
 	}
-	out, costOut, _, err := GridFigures(3, SweepOptions{})
+	out, costOut, err := GridFigures(3, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +76,20 @@ func TestRuntimeAndCostFiguresRender(t *testing.T) {
 	}
 }
 
+// TestAblationRegistry pins the experiments table: the order wfbench
+// prints the experiments in, and which of them are studies (wfbench's
+// -seeds message names them).
 func TestAblationRegistry(t *testing.T) {
 	t.Parallel()
-	if _, _, err := Ablation("bogus"); err == nil {
+	if _, _, err := AblationSweep("bogus", StudyOptions{}); err == nil {
 		t.Error("unknown ablation should fail")
 	}
-	if len(AblationNames()) != 11 {
-		t.Errorf("AblationNames = %v, want 11 entries", AblationNames())
+	want := []string{"xtreemfs", "s3cache", "locality", "nfssync", "nfsserver", "diskinit", "workertype", "failures", "outages", "scale", "scale1000"}
+	if got := AblationNames(); !slices.Equal(got, want) {
+		t.Errorf("AblationNames = %v, want %v", got, want)
+	}
+	if got, want := StudyNames(), []string{"failures", "outages", "scale", "scale1000"}; !slices.Equal(got, want) {
+		t.Errorf("StudyNames = %v, want %v", got, want)
 	}
 }
 
@@ -90,7 +98,7 @@ func TestNFSSyncAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runs")
 	}
-	results, out, err := Ablation("nfssync")
+	results, out, err := AblationSweep("nfssync", StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +120,7 @@ func TestLocalityAblationImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runs")
 	}
-	results, _, err := Ablation("locality")
+	results, _, err := AblationSweep("locality", StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +136,7 @@ func TestDiskInitAblationNotWorthIt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runs")
 	}
-	results, _, err := Ablation("diskinit")
+	results, _, err := AblationSweep("diskinit", StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestWorkerTypeAblationC1XLargeBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale runs")
 	}
-	results, _, err := Ablation("workertype")
+	results, _, err := AblationSweep("workertype", StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func collectGolden(t *testing.T) goldenData {
 		}
 	}
 	grid := func(app string) []goldenCell {
-		cells, err := Grid(app, nil)
+		cells, err := Grid(app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func collectGolden(t *testing.T) goldenData {
 	g.MontageGrid = grid("montage")
 	g.EpigenomeGrid = grid("epigenome")
 	g.BroadbandGrid = grid("broadband")
-	results, _, err := Ablation("nfssync")
+	results, _, err := AblationSweep("nfssync", StudyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package harness defines and runs the paper's experiments: one runner
 // for a single (application x storage x cluster-size) cell, and generators
 // for every table and figure in the evaluation (Table I, Figures 2-7) plus
-// the named ablations (see Ablation).
+// the named experiments (see AblationSweep).
 package harness
 
 import (
@@ -15,7 +15,6 @@ import (
 	"ec2wfsim/internal/sim"
 	"ec2wfsim/internal/storage"
 	"ec2wfsim/internal/wms"
-	"ec2wfsim/internal/workflow"
 )
 
 // DefaultSeed is the fixed provisioning-jitter seed used when a
@@ -188,13 +187,6 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 // of resources (1-8 nodes corresponding to 8-64 cores)".
 func NodeCounts() []int { return []int{1, 2, 4, 8} }
 
-// Cell labels an (application, storage, workers) result in a figure grid.
-type Cell struct {
-	System  string
-	Workers int
-	Result  *RunResult
-}
-
 // GridConfigs enumerates the paper's sweep for an application: the five
 // compared systems (plus the local baseline at one node) crossed with
 // NodeCounts, minus combinations the system cannot form.
@@ -210,41 +202,4 @@ func GridConfigs(app string) []RunConfig {
 		}
 	}
 	return cfgs
-}
-
-// Grid runs the full sweep of the paper's five systems (plus the local
-// baseline at one node) for an application, reusing pre-built workflows
-// via build so scaled-down instances stay cheap. Cells run concurrently
-// through the sweep engine and come back in sweep order regardless of
-// scheduling.
-func Grid(app string, build func() (*workflow.Workflow, error)) ([]Cell, error) {
-	cfgs := GridConfigs(app)
-	if build != nil {
-		for i := range cfgs {
-			w, err := build()
-			if err != nil {
-				return nil, err
-			}
-			cfgs[i].Workflow = w
-		}
-	}
-	results, err := Sweep(cfgs, SweepOptions{})
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]Cell, len(cfgs))
-	for i, r := range results {
-		cells[i] = Cell{System: cfgs[i].Storage, Workers: cfgs[i].Workers, Result: r}
-	}
-	return cells, nil
-}
-
-// Find returns the cell for (system, workers), or nil.
-func Find(cells []Cell, system string, workers int) *Cell {
-	for i := range cells {
-		if cells[i].System == system && cells[i].Workers == workers {
-			return &cells[i]
-		}
-	}
-	return nil
 }

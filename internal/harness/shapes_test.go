@@ -22,7 +22,7 @@ func paperGrid(t *testing.T, app string) []Cell {
 	gridOnce.Do(func() {
 		grids = make(map[string][]Cell)
 		for _, a := range []string{"montage", "epigenome", "broadband"} {
-			cells, err := Grid(a, nil)
+			cells, err := Grid(a)
 			if err != nil {
 				gridErr = err
 				return
