@@ -29,9 +29,6 @@ type PageCache struct {
 	entries map[*workflow.File]*list.Element
 	lru     *list.List // front = most recently used
 	size    float64
-
-	Hits   int64
-	Misses int64
 }
 
 // NewPageCache returns an empty cache over node's RAM, less reserve bytes
@@ -45,9 +42,8 @@ func NewPageCache(node *Node, reserve float64) *PageCache {
 	}
 }
 
-// Drop empties the cache, as a reboot loses the node's RAM. The hit and
-// miss counters survive. The entry map is replaced, not cleared, so the
-// memory it held is released.
+// Drop empties the cache, as a reboot loses the node's RAM. The entry
+// map is replaced, not cleared, so the memory it held is released.
 func (c *PageCache) Drop() {
 	c.entries = make(map[*workflow.File]*list.Element)
 	c.lru.Init()
@@ -67,8 +63,7 @@ func (c *PageCache) Capacity() float64 {
 // Size returns the bytes currently cached.
 func (c *PageCache) Size() float64 { return c.size }
 
-// Contains reports whether f is cached, without counting a hit or miss
-// or refreshing recency.
+// Contains reports whether f is cached, without refreshing recency.
 func (c *PageCache) Contains(f *workflow.File) bool {
 	_, ok := c.entries[f]
 	return ok
@@ -90,17 +85,15 @@ func (c *PageCache) trim() {
 	}
 }
 
-// Lookup reports whether f is fully cached, counting a hit or miss and
-// refreshing recency. Memory pressure is applied first, so a file cached
-// before a large task started may have been evicted by it.
+// Lookup reports whether f is fully cached, refreshing its recency on a
+// hit. Memory pressure is applied first, so a file cached before a large
+// task started may have been evicted by it.
 func (c *PageCache) Lookup(f *workflow.File) bool {
 	c.trim()
 	if el, ok := c.entries[f]; ok {
 		c.lru.MoveToFront(el)
-		c.Hits++
 		return true
 	}
-	c.Misses++
 	return false
 }
 

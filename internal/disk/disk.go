@@ -80,10 +80,6 @@ type Disk struct {
 	// calls; safe because the flow network copies it into the transfer
 	// record before the calling process can park.
 	scratch []*flow.Resource
-
-	// Stats.
-	BytesRead    float64
-	BytesWritten float64
 }
 
 // New creates a disk from a profile, registering its channels with the
@@ -116,7 +112,6 @@ func (d *Disk) Read(p *sim.Proc, size float64, extra ...*flow.Resource) {
 	if size <= 0 {
 		return
 	}
-	d.BytesRead += size
 	d.scratch = append(append(d.scratch[:0], d.read), extra...)
 	d.net.Transfer(p, size, d.scratch...)
 }
@@ -127,7 +122,6 @@ func (d *Disk) Write(p *sim.Proc, size float64, extra ...*flow.Resource) {
 	if size <= 0 {
 		return
 	}
-	d.BytesWritten += size
 	d.scratch = append(append(d.scratch[:0], d.write), extra...)
 	d.net.Transfer(p, size, d.scratch...)
 }

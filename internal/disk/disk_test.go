@@ -147,20 +147,6 @@ func TestRemoteReadBottleneckedByNIC(t *testing.T) {
 	approx(t, done, 10, 0.01, "NIC-bound remote read")
 }
 
-func TestStatsAndUsage(t *testing.T) {
-	e := sim.NewEngine()
-	net := flow.NewNet(e)
-	d := New(net, "eph", EphemeralSingle())
-	e.Go("io", func(p *sim.Proc) {
-		d.Write(p, 100*units.MB)
-		d.Write(p, 50*units.MB)
-		d.Read(p, 70*units.MB)
-	})
-	e.Run()
-	approx(t, d.BytesWritten, 150*units.MB, 1e-9, "BytesWritten")
-	approx(t, d.BytesRead, 70*units.MB, 1e-9, "BytesRead")
-}
-
 func TestZeroSizeIONoTime(t *testing.T) {
 	e := sim.NewEngine()
 	net := flow.NewNet(e)

@@ -5,14 +5,14 @@
 // JSON lines behind a schema-versioned header.
 //
 // The format is the simulator's audit trail. A log is written once,
-// forward-only, while the run executes (the Writer implements Recorder,
-// the zero-cost-when-nil hook the wms/storage layers emit through), and
-// is consumed three ways: replay verification re-runs the spec in the
-// header and asserts the fresh stream is byte-identical (the mechanical
-// form of the determinism contract the wfvet lint reasons about
-// statically), cross-scenario reports pair two logs and explain where
-// the runs diverged, and the sweep fabric ships logs as a compact wire
-// format richer than JSON summary rows.
+// forward-only, while the run executes (through a *Writer, which the
+// wms and storage layers hold possibly nil: a nil Writer records
+// nothing), and is consumed three ways: replay verification re-runs the
+// spec in the header and asserts the fresh stream is byte-identical
+// (the mechanical form of the determinism contract the wfvet lint
+// reasons about statically), cross-scenario reports pair two logs and
+// explain where the runs diverged, and the sweep fabric ships logs as a
+// compact wire format richer than JSON summary rows.
 //
 // The package deliberately depends only on the standard library: it is
 // imported by the sim-layer packages (wms, storage) that emit events,
@@ -166,14 +166,6 @@ type Event struct {
 	// Dur is a duration in seconds: the transfer time on xfer-drain, the
 	// scheduled window length on outage-begin.
 	Dur float64 `json:"dur,omitempty"`
-}
-
-// Recorder receives events as a run executes. Emitting layers hold a
-// possibly-nil Recorder and skip the call when nil, so a run without
-// recording pays one pointer test per would-be event and allocates
-// nothing.
-type Recorder interface {
-	Record(Event)
 }
 
 // Header opens every log: enough to re-run the cell it records.

@@ -65,9 +65,6 @@ func (r *Reader) Header() Header { return r.hdr }
 // returned io.EOF.
 func (r *Reader) Trailer() Trailer { return r.trailer }
 
-// Events returns the number of events decoded so far.
-func (r *Reader) Events() uint64 { return r.n }
-
 // Next returns the next event. It returns io.EOF after the trailer has
 // been consumed and verified, and a *CorruptError on any structural
 // problem.

@@ -9,13 +9,14 @@ import (
 )
 
 // Writer streams a log to an underlying io.Writer: header first, then
-// events as they are recorded, then a trailer on Close. It implements
-// Recorder, assigning contiguous sequence numbers, so it plugs directly
-// into the emission hooks.
+// events as they are recorded, with contiguous sequence numbers, then a
+// trailer on Close. The layers that emit events (wms, storage) hold a
+// possibly-nil *Writer and call Record unconditionally: a nil Writer
+// records nothing.
 //
 // Errors are sticky: the first I/O or encoding failure is remembered,
 // subsequent Records become no-ops, and Close (or Err) reports it. The
-// emission hooks inside the simulation therefore never need an error
+// emission sites inside the simulation therefore never need an error
 // path — a recorded run checks the writer once, at the end.
 type Writer struct {
 	bw     *bufio.Writer
@@ -70,10 +71,21 @@ func (w *Writer) frame(typ byte, payload []byte) error {
 	return w.bw.WriteByte('\n')
 }
 
-// Record implements Recorder: it assigns the event's sequence number
-// and appends it to the stream. Events recorded after Close, or after
-// an earlier error, are dropped (the error is already latched).
+// Record assigns the event's sequence number and appends it to the
+// stream. On a nil Writer it does nothing, and being only that test it
+// inlines, so a run without a log pays no call per would-be event.
+// Events recorded after Close, or after an error, are dropped.
 func (w *Writer) Record(e Event) {
+	if w != nil {
+		w.recordEvent(e)
+	}
+}
+
+// recordEvent is Record's body on a non-nil Writer. It takes the event
+// by value: were its address taken, every inlined Record would keep its
+// own copy in the caller's stack frame, and the wms slot processes'
+// deeper stacks cost megabytes of memory on clusters of many workers.
+func (w *Writer) recordEvent(e Event) {
 	if w.err != nil || w.closed {
 		return
 	}
@@ -90,9 +102,6 @@ func (w *Writer) Record(e Event) {
 	}
 	w.err = w.frame('e', w.payload)
 }
-
-// Events returns the number of events recorded so far.
-func (w *Writer) Events() uint64 { return w.n }
 
 // Err returns the first error the writer hit, if any.
 func (w *Writer) Err() error { return w.err }

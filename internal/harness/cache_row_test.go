@@ -35,17 +35,19 @@ func cacheRowFixture() *RunResult {
 				CheckpointInterval: 20.25,
 			},
 		},
-		Makespan:        1234.5,
-		ProvisionTime:   67.125,
-		Utilization:     0.8125,
-		MemoryWaits:     21,
-		Failures:        22,
-		Retries:         23,
-		Outages:         24,
-		OutageKills:     25,
-		LostWorkSeconds: 26.5,
-		Checkpoints:     27,
-		CheckpointBytes: 28.5e6,
+		Makespan:      1234.5,
+		ProvisionTime: 67.125,
+		Utilization:   0.8125,
+		MemoryWaits:   21,
+		FaultCounts: wms.FaultCounts{
+			Failures:        22,
+			Retries:         23,
+			Outages:         24,
+			OutageKills:     25,
+			LostWorkSeconds: 26.5,
+			Checkpoints:     27,
+			CheckpointBytes: 28.5e6,
+		},
 		Stats: storage.Stats{
 			Reads: 31, Writes: 32, NetworkBytes: 33.5e9,
 			CacheHits: 34, CacheMisses: 35,

@@ -35,23 +35,10 @@ type RunResult struct {
 	ProvisionTime float64   `json:"provision_s"`
 	Utilization   float64   `json:"utilization"`
 	MemoryWaits   int64     `json:"memory_waits"`
-	// Failures counts injected transient failures (zero when FailureRate
-	// is 0); Retries counts all re-executions — injected failures plus
-	// outage kills.
-	Failures int64 `json:"failures"`
-	Retries  int64 `json:"retries"`
-	// Outages and OutageKills count node outages and the attempts they
-	// killed; LostWorkSeconds sums slot time failed attempts burned
-	// beyond any checkpointed progress; Checkpoints/CheckpointBytes
-	// count checkpoint writes and their staged bytes.
-	Outages         int64          `json:"outages"`
-	OutageKills     int64          `json:"outage_kills"`
-	LostWorkSeconds float64        `json:"lost_work_s"`
-	Checkpoints     int64          `json:"checkpoints"`
-	CheckpointBytes float64        `json:"checkpoint_bytes"`
-	Stats           storage.Stats  `json:"stats"`
-	CostHour        cost.Breakdown `json:"cost_hour"`
-	CostSecond      cost.Breakdown `json:"cost_second"`
+	wms.FaultCounts
+	Stats      storage.Stats  `json:"stats"`
+	CostHour   cost.Breakdown `json:"cost_hour"`
+	CostSecond cost.Breakdown `json:"cost_second"`
 	// Spans records per-task execution windows for Gantt charts and
 	// trace exports.
 	Spans []wms.Span `json:"-"`
@@ -93,11 +80,12 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	return r, err
 }
 
-// runWith is Run with an optional event recorder threaded through the
-// provisioning step, the storage env and the workflow engine. It also
-// returns the engine's total scheduled-event count, which recorded runs
-// carry in the log trailer as a replay cross-check.
-func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
+// runWith is Run with an optional event log threaded through the
+// provisioning step, the storage env and the workflow engine; a nil log
+// records nothing. It also returns the engine's total scheduled-event
+// count, which recorded runs carry in the log trailer as a replay
+// cross-check.
+func runWith(cfg RunConfig, lw *eventlog.Writer) (*RunResult, int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -132,17 +120,12 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if rec != nil {
-		// One node-up per provisioned node opens the stream, so replay
-		// consumers know the cluster shape without parsing the spec.
-		for _, n := range c.Workers {
-			rec.Record(eventlog.Event{T: e.Now(), Kind: eventlog.NodeUp, Node: n.Name})
-		}
-		for _, n := range c.Extra {
-			rec.Record(eventlog.Event{T: e.Now(), Kind: eventlog.NodeUp, Node: n.Name})
-		}
+	// One node-up per provisioned node opens the stream, so replay
+	// consumers know the cluster shape without parsing the spec.
+	for _, n := range c.AllNodes() {
+		lw.Record(eventlog.Event{T: e.Now(), Kind: eventlog.NodeUp, Node: n.Name})
 	}
-	env := &storage.Env{E: e, Net: net, Workers: c.Workers, Extra: c.Extra, R: rng.New(seed + 1), Rec: rec}
+	env := &storage.Env{E: e, Net: net, Workers: c.Workers, Extra: c.Extra, R: rng.New(seed + 1), Log: lw}
 	if err := sys.Init(env); err != nil {
 		return nil, 0, err
 	}
@@ -151,7 +134,7 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 		Storage:   sys,
 		DataAware: cfg.DataAware,
 		Faults:    cfg.Faults,
-		Recorder:  rec,
+		Log:       lw,
 	}, w)
 	if err != nil {
 		return nil, 0, err
@@ -163,23 +146,17 @@ func runWith(cfg RunConfig, rec eventlog.Recorder) (*RunResult, int64, error) {
 	}
 	st := sys.Stats()
 	return &RunResult{
-		Config:          cfg,
-		Makespan:        res.Makespan,
-		ProvisionTime:   c.ProvisionTime,
-		Utilization:     res.Utilization(c),
-		MemoryWaits:     res.MemoryWaits,
-		Failures:        res.Failures,
-		Retries:         res.Retries,
-		Outages:         res.Outages,
-		OutageKills:     res.OutageKills,
-		LostWorkSeconds: res.LostWorkSeconds,
-		Checkpoints:     res.Checkpoints,
-		CheckpointBytes: res.CheckpointBytes,
-		Stats:           st,
-		Spans:           res.Spans,
-		CostHour:        cost.Compute(c, res.Makespan, st, cost.PerHour),
-		CostSecond:      cost.Compute(c, res.Makespan, st, cost.PerSecond),
-		Cluster:         c,
+		Config:        cfg,
+		Makespan:      res.Makespan,
+		ProvisionTime: c.ProvisionTime,
+		Utilization:   res.Utilization(c),
+		MemoryWaits:   res.MemoryWaits,
+		FaultCounts:   res.FaultCounts,
+		Stats:         st,
+		Spans:         res.Spans,
+		CostHour:      cost.Compute(c, res.Makespan, st, cost.PerHour),
+		CostSecond:    cost.Compute(c, res.Makespan, st, cost.PerSecond),
+		Cluster:       c,
 	}, e.Scheduled(), nil
 }
 

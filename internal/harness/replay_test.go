@@ -74,7 +74,9 @@ func TestReplayVerifyAllBackends(t *testing.T) {
 
 // TestReplayVerifyFailureOutageCheckpoint replays the hard mode: failure
 // injection, correlated outages and checkpointing all on, exercising
-// the retry, kill and checkpoint event paths.
+// the retry, kill and checkpoint event paths. An attempt is killed
+// once: the log holds one outage-kill per killed attempt, even when a
+// second outage hits the node before the attempt notices the first.
 func TestReplayVerifyFailureOutageCheckpoint(t *testing.T) {
 	t.Parallel()
 	cfg := RunConfig{
@@ -89,6 +91,25 @@ func TestReplayVerifyFailureOutageCheckpoint(t *testing.T) {
 	}
 	if r.Retries == 0 {
 		t.Fatal("test premise broken: no retries were injected")
+	}
+	_, events, _, err := eventlog.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kills := map[string]int{}
+	var total int64
+	for _, e := range events {
+		if e.Kind != eventlog.OutageKill {
+			continue
+		}
+		total++
+		id := fmt.Sprintf("%s attempt %d", e.Task, e.Attempt)
+		if kills[id]++; kills[id] == 2 {
+			t.Errorf("%s: more than one outage-kill event (seq %d)", id, e.Seq)
+		}
+	}
+	if total != r.OutageKills {
+		t.Errorf("log has %d outage-kill events, result counts %d outage kills", total, r.OutageKills)
 	}
 	_, v, err := ReplayVerify(buf.Bytes())
 	if err != nil {
@@ -327,9 +348,11 @@ func TestSweepRecordedDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenEventLog pins the exact byte stream of one small recorded
-// cell, so any change to the event schema, the emission order or the
-// framing is a deliberate golden update, never silent drift.
+// TestGoldenEventLog pins the exact byte streams of two small recorded
+// cells, so any change to the event schema, the emission order or the
+// framing is a deliberate golden update, never silent drift. The second
+// cell turns on all three fault features, so the failure, kill, retry
+// and checkpoint events are pinned as well as the fault-free path.
 //
 // Regenerate deliberately with:
 //
@@ -340,41 +363,53 @@ func TestGoldenEventLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RunConfig{App: "montage", Storage: "nfs-sync", Workers: 2, Workflow: w}
-	var buf bytes.Buffer
-	if _, err := RunRecorded(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-	path := filepath.Join("testdata", "golden_montage_nfs-sync.wfevt")
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden event log (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		// Decode both sides for a readable first divergence.
-		_, ge, gt, gerr := eventlog.Decode(got)
-		_, we, wt, werr := eventlog.Decode(want)
-		if gerr != nil || werr != nil {
-			t.Fatalf("event log drifted and decode failed (got: %v, want: %v)", gerr, werr)
-		}
-		seq, detail := firstDivergence(we, ge, wt, gt)
-		t.Fatalf("event log drifted from golden at seq %d: %s", seq, detail)
-	}
-	// The golden must also replay-verify: the embedded workflow and spec
-	// alone reconstruct the run.
-	_, v, err := ReplayVerify(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Match {
-		t.Fatalf("golden log does not replay-verify: seq %d: %s", v.Seq, v.Detail)
+	for _, tc := range []struct {
+		file string
+		cfg  RunConfig
+	}{
+		{"golden_montage_nfs-sync.wfevt", RunConfig{App: "montage", Storage: "nfs-sync", Workers: 2, Workflow: w}},
+		{"golden_montage_nfs_faults.wfevt", RunConfig{
+			App: "montage", Storage: "nfs", Workers: 2, Workflow: w,
+			Faults: wms.Faults{FailureRate: 0.2, OutageRate: 30, OutageDuration: 5, CheckpointInterval: 20},
+		}},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := RunRecorded(tc.cfg, &buf); err != nil {
+				t.Fatal(err)
+			}
+			got := buf.Bytes()
+			path := filepath.Join("testdata", tc.file)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("rewrote %s", path)
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden event log (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				// Decode both sides for a readable first divergence.
+				_, ge, gt, gerr := eventlog.Decode(got)
+				_, we, wt, werr := eventlog.Decode(want)
+				if gerr != nil || werr != nil {
+					t.Fatalf("event log drifted and decode failed (got: %v, want: %v)", gerr, werr)
+				}
+				seq, detail := firstDivergence(we, ge, wt, gt)
+				t.Fatalf("event log drifted from golden at seq %d: %s", seq, detail)
+			}
+			// The golden must also replay-verify: the embedded workflow and
+			// spec alone reconstruct the run.
+			_, v, err := ReplayVerify(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Match {
+				t.Fatalf("golden log does not replay-verify: seq %d: %s", v.Seq, v.Detail)
+			}
+		})
 	}
 }

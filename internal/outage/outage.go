@@ -62,9 +62,6 @@ func New(cfg Config) (*Schedule, error) {
 	return &Schedule{cfg: cfg}, nil
 }
 
-// Config returns the schedule's configuration.
-func (s *Schedule) Config() Config { return s.cfg }
-
 // Node returns the outage stream for the node at the given index. Streams
 // for the same (Config, index) are identical; streams for different
 // indices are decorrelated.

@@ -80,9 +80,6 @@ func (e *Engine) start(p *Proc, fn func(p *Proc)) {
 	e.resume(p)
 }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.e.now }
 

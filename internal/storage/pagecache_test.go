@@ -75,11 +75,12 @@ func TestPageCacheCapacityTracksMemoryUse(t *testing.T) {
 func TestPageCacheHitMissCounters(t *testing.T) {
 	pc, _ := newCache(t)
 	f := wf("f", units.MB)
-	pc.Lookup(f) // miss
+	if pc.Lookup(f) {
+		t.Error("Lookup before Insert hit, want a miss")
+	}
 	pc.Insert(f)
-	pc.Lookup(f) // hit
-	if pc.Hits != 1 || pc.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", pc.Hits, pc.Misses)
+	if !pc.Lookup(f) {
+		t.Error("Lookup after Insert missed, want a hit")
 	}
 }
 

@@ -35,24 +35,20 @@ type Env struct {
 	// ExtraNodeTypes, in the same order.
 	Extra []*cluster.Node
 	R     *rng.RNG
-	// Rec receives cache-decision events (cache-hit/cache-miss) from
-	// backends that model one; nil — the default — disables recording
-	// at the cost of one pointer test per decision.
-	Rec eventlog.Recorder
+	// Log receives cache-decision events (cache-hit/cache-miss) from
+	// backends that model one; nil, the default, records nothing at the
+	// cost of one pointer test per decision.
+	Log *eventlog.Writer
 }
 
-// recordCache emits a cache-hit or cache-miss event through the env's
-// recorder, if any. layer is "client" or "server" (carried in the
-// event's Phase field).
+// recordCache logs a cache-hit or cache-miss event in the env's log.
+// layer is "client" or "server" (carried in the event's Phase field).
 func (env *Env) recordCache(p *sim.Proc, hit bool, layer string, node *cluster.Node, f *workflow.File) {
-	if env.Rec == nil {
-		return
-	}
 	kind := eventlog.CacheMiss
 	if hit {
 		kind = eventlog.CacheHit
 	}
-	env.Rec.Record(eventlog.Event{
+	env.Log.Record(eventlog.Event{
 		T: p.Now(), Kind: kind, Node: node.Name, File: f.Name, Phase: layer, Size: f.Size,
 	})
 }

@@ -8,6 +8,7 @@ package wms
 
 import (
 	"fmt"
+	"slices"
 
 	"ec2wfsim/internal/cluster"
 	"ec2wfsim/internal/eventlog"
@@ -45,12 +46,11 @@ type Options struct {
 	// on the run; the zero value is the paper's failure-free setting.
 	Faults
 
-	// Recorder, when non-nil, receives the run's structured event stream
+	// Log, when non-nil, receives the run's structured event stream
 	// (task attempts, transfers, outages, checkpoints, node state) as it
-	// executes. Nil — the default — disables recording: every emission
-	// site is behind one pointer test, so unrecorded runs stay on the
-	// zero-cost path and bit-identical to pre-eventlog builds.
-	Recorder eventlog.Recorder
+	// executes. Nil, the default, records nothing, at one pointer test
+	// per would-be event; a recorded run is bit-identical to it.
+	Log *eventlog.Writer
 }
 
 // Span records one task attempt for traces and utilization analysis.
@@ -66,6 +66,27 @@ type Span struct {
 	Failed   bool    // attempt was killed by failure injection or an outage
 }
 
+// FaultCounts are the fault model's counters, all zero on the paper's
+// failure-free runs. Result and harness.RunResult embed them; the JSON
+// keys are the cached result row's.
+type FaultCounts struct {
+	// Failures counts injected task failures that were retried.
+	Failures int64 `json:"failures"`
+	// Retries counts re-executions (injected failures plus outage kills).
+	Retries int64 `json:"retries"`
+	// Outages counts node outages that began before the workflow
+	// completed; OutageKills counts task attempts they killed.
+	Outages     int64 `json:"outages"`
+	OutageKills int64 `json:"outage_kills"`
+	// LostWorkSeconds sums slot time burned by failed attempts that no
+	// checkpoint preserved (occupied-slot seconds minus durable progress).
+	LostWorkSeconds float64 `json:"lost_work_s"`
+	// Checkpoints and CheckpointBytes count checkpoint writes and their
+	// staged bytes (restore reads are not included in the byte count).
+	Checkpoints     int64   `json:"checkpoints"`
+	CheckpointBytes float64 `json:"checkpoint_bytes"`
+}
+
 // Result summarizes one workflow execution.
 type Result struct {
 	Makespan     float64
@@ -76,22 +97,7 @@ type Result struct {
 	BusySeconds float64
 	// PeakMemoryWait counts jobs that had to wait for memory admission.
 	MemoryWaits int64
-	// Failures counts injected task failures that were retried.
-	Failures int64
-	// Retries counts re-executions (injected failures plus outage kills).
-	Retries int64
-
-	// Outages counts node outages that began before the workflow
-	// completed; OutageKills counts task attempts they killed.
-	Outages     int64
-	OutageKills int64
-	// LostWorkSeconds sums slot time burned by failed attempts that no
-	// checkpoint preserved (occupied-slot seconds minus durable progress).
-	LostWorkSeconds float64
-	// Checkpoints and CheckpointBytes count checkpoint writes and their
-	// staged bytes (restore reads are not included in the byte count).
-	Checkpoints     int64
-	CheckpointBytes float64
+	FaultCounts
 }
 
 // Completed counts successful task executions (spans not flagged
@@ -151,17 +157,11 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		e:      e,
 		opts:   opts,
 		w:      w,
-		remain: make(map[*workflow.Task]int, len(w.Tasks)),
 		done:   sim.NewWaitGroup(e),
 		result: &Result{},
 	}
-	if opts.Recorder != nil {
-		run.rec = opts.Recorder
-		run.tries = make(map[*workflow.Task]int, len(w.Tasks))
-	}
 	if opts.FailureRate > 0 {
 		run.failRand = rng.New(opts.FailureSeed)
-		run.attempts = make(map[*workflow.Task]int)
 	}
 	if opts.OutageRate > 0 {
 		sched, err := outage.New(outage.Config{Rate: opts.OutageRate, Duration: opts.OutageDuration, Seed: opts.OutageSeed})
@@ -170,10 +170,6 @@ func Run(e *sim.Engine, opts Options, w *workflow.Workflow) (*Result, error) {
 		}
 		run.outages = sched
 		run.running = make(map[*cluster.Node][]*attempt)
-	}
-	if opts.CheckpointInterval > 0 || run.outages != nil {
-		run.progress = make(map[*workflow.Task]float64)
-		run.ckptFiles = make(map[*workflow.Task]*workflow.File)
 	}
 	if opts.DataAware {
 		run.disp = newDataAwareDispatcher(e, opts.Storage)
@@ -191,7 +187,7 @@ type execution struct {
 	opts   Options
 	w      *workflow.Workflow
 	disp   dispatcher
-	remain map[*workflow.Task]int
+	tasks  map[*workflow.Task]*taskRun
 	ready  *sim.Mailbox[*workflow.Task]
 	done   *sim.WaitGroup
 	result *Result
@@ -200,7 +196,6 @@ type execution struct {
 	// transient: once a task has exhausted opts.MaxRetries failed
 	// attempts it runs clean, so workflows always complete.
 	failRand *rng.RNG
-	attempts map[*workflow.Task]int
 
 	// Correlated outages (nil outages disables them). Per-node daemons
 	// walk the deterministic schedule; running tracks in-flight attempts
@@ -209,19 +204,15 @@ type execution struct {
 	outages *outage.Schedule
 	running map[*cluster.Node][]*attempt
 	stopped bool
+}
 
-	// Checkpoint/restart (nil maps disable it; allocated whenever
-	// checkpointing or outages are on, since both need restart
-	// bookkeeping). progress is the durable fraction of each task's
-	// computation; ckptFiles interns one synthetic checkpoint file per
-	// task, overwritten in place by successive checkpoints.
-	progress  map[*workflow.Task]float64
-	ckptFiles map[*workflow.Task]*workflow.File
-
-	// Event recording (nil rec disables it — the zero-cost default).
-	// tries numbers each task's attempts from 1 for the event stream.
-	rec   eventlog.Recorder
-	tries map[*workflow.Task]int
+// taskRun is one task's record for the run.
+type taskRun struct {
+	remain   int            // parents not yet finished
+	attempts int            // attempts started; numbers the log's attempts from 1
+	failures int            // injected failures, bounded by opts.MaxRetries
+	progress float64        // durable fraction of the computation, from the last checkpoint
+	ckpt     *workflow.File // the checkpoint file, interned by ckptFile
 }
 
 // attempt is the kill handle for one in-flight task attempt: an outage
@@ -236,15 +227,23 @@ type attempt struct {
 	timer  *sim.Timer // non-nil while inside sleepAttempt
 }
 
+// dead reports whether an outage killed the attempt. The nil handle of a
+// run without outages never dies.
+func (a *attempt) dead() bool { return a != nil && a.killed }
+
 // execute wires up DAGMan and the slots, then drives the engine to
 // completion.
 func (x *execution) execute() {
 	x.ready = sim.NewMailbox[*workflow.Task](x.e)
 	x.done.Add(len(x.w.Tasks))
 
-	for _, t := range x.w.Tasks {
-		x.remain[t] = len(t.Parents())
-		if x.remain[t] == 0 {
+	runs := make([]taskRun, len(x.w.Tasks))
+	x.tasks = make(map[*workflow.Task]*taskRun, len(x.w.Tasks))
+	for i, t := range x.w.Tasks {
+		st := &runs[i]
+		st.remain = len(t.Parents())
+		x.tasks[t] = st
+		if st.remain == 0 {
 			x.ready.Put(t)
 		}
 	}
@@ -307,10 +306,8 @@ func (x *execution) execute() {
 					x.takeDown(node, w.Duration())
 					p.Sleep(w.End - p.Now())
 					node.SetUp()
-					if x.rec != nil {
-						x.rec.Record(eventlog.Event{T: p.Now(), Kind: eventlog.NodeUp, Node: node.Name})
-						x.rec.Record(eventlog.Event{T: p.Now(), Kind: eventlog.OutageEnd, Node: node.Name})
-					}
+					x.opts.Log.Record(eventlog.Event{T: p.Now(), Kind: eventlog.NodeUp, Node: node.Name})
+					x.opts.Log.Record(eventlog.Event{T: p.Now(), Kind: eventlog.OutageEnd, Node: node.Name})
 					if x.stopped {
 						return
 					}
@@ -338,19 +335,18 @@ func (x *execution) execute() {
 func (x *execution) takeDown(node *cluster.Node, dur float64) {
 	node.SetDown()
 	x.result.Outages++
-	if x.rec != nil {
-		now := x.e.Now()
-		x.rec.Record(eventlog.Event{T: now, Kind: eventlog.OutageBegin, Node: node.Name, Dur: dur})
-		x.rec.Record(eventlog.Event{T: now, Kind: eventlog.NodeDown, Node: node.Name})
-	}
+	now := x.e.Now()
+	x.opts.Log.Record(eventlog.Event{T: now, Kind: eventlog.OutageBegin, Node: node.Name, Dur: dur})
+	x.opts.Log.Record(eventlog.Event{T: now, Kind: eventlog.NodeDown, Node: node.Name})
 	for _, att := range x.running[node] {
-		att.killed = true
-		if x.rec != nil {
-			x.rec.Record(eventlog.Event{
-				T: x.e.Now(), Kind: eventlog.OutageKill, Task: att.task.ID, Node: node.Name,
-				Attempt: x.tries[att.task],
-			})
+		if att.killed {
+			continue // killed by an earlier outage, not yet at a phase boundary
 		}
+		att.killed = true
+		x.opts.Log.Record(eventlog.Event{
+			T: now, Kind: eventlog.OutageKill, Task: att.task.ID, Node: node.Name,
+			Attempt: x.tasks[att.task].attempts,
+		})
 		if att.timer != nil {
 			// Interrupt the compute sleep right now; attempts blocked in
 			// transfers or queues notice the flag at their next boundary.
@@ -372,17 +368,11 @@ func (x *execution) register(p *sim.Proc, node *cluster.Node, t *workflow.Task) 
 	return att
 }
 
-// unregister removes the attempt's kill handle.
+// unregister removes the attempt's kill handle (a nil handle is never
+// listed).
 func (x *execution) unregister(node *cluster.Node, att *attempt) {
-	if att == nil {
-		return
-	}
-	list := x.running[node]
-	for i, a := range list {
-		if a == att {
-			x.running[node] = append(list[:i], list[i+1:]...)
-			return
-		}
+	if i := slices.Index(x.running[node], att); i >= 0 {
+		x.running[node] = slices.Delete(x.running[node], i, i+1)
 	}
 }
 
@@ -412,59 +402,49 @@ func (x *execution) sleepAttempt(p *sim.Proc, att *attempt, d float64) bool {
 // ckptFile interns the synthetic checkpoint file for t: one file per
 // task, overwritten by each successive checkpoint, sized by the task's
 // resident memory (what a checkpoint actually dumps).
-func (x *execution) ckptFile(t *workflow.Task) *workflow.File {
-	if f, ok := x.ckptFiles[t]; ok {
-		return f
+func (st *taskRun) ckptFile(t *workflow.Task) *workflow.File {
+	if st.ckpt == nil {
+		size := t.PeakMemory
+		if size <= 0 {
+			size = defaultCheckpointBytes
+		}
+		st.ckpt = &workflow.File{Name: "__ckpt__/" + t.ID, Size: size}
 	}
-	size := t.PeakMemory
-	if size <= 0 {
-		size = defaultCheckpointBytes
-	}
-	f := &workflow.File{Name: "__ckpt__/" + t.ID, Size: size}
-	x.ckptFiles[t] = f
-	return f
+	return st.ckpt
 }
 
 // stage charges one storage access (an input read, checkpoint transfer,
 // or output write) on behalf of a task, bracketing it with
-// transfer-start/transfer-drain events when recording is on. With no
-// recorder it is exactly the direct Storage call.
+// transfer-start/transfer-drain events in the run's log.
 func (x *execution) stage(p *sim.Proc, node *cluster.Node, t *workflow.Task, f *workflow.File, phase string, write bool) {
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: p.Now(), Kind: eventlog.TransferStart,
-			Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
-		})
-	}
+	x.opts.Log.Record(eventlog.Event{
+		T: p.Now(), Kind: eventlog.TransferStart,
+		Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
+	})
 	start := p.Now()
 	if write {
 		x.opts.Storage.Write(p, node, f)
 	} else {
 		x.opts.Storage.Read(p, node, f)
 	}
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: p.Now(), Kind: eventlog.TransferDrain,
-			Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
-			Dur: p.Now() - start,
-		})
-	}
+	x.opts.Log.Record(eventlog.Event{
+		T: p.Now(), Kind: eventlog.TransferDrain,
+		Task: t.ID, Node: node.Name, File: f.Name, Phase: phase, Size: f.Size,
+		Dur: p.Now() - start,
+	})
 }
 
-// runJob executes one task on a slot: memory admission, input staging,
-// computation, output publication, then dependency release.
+// runJob executes one attempt of a task on a slot: memory admission, the
+// attempt's work, then either the abort, which hands the task back to
+// DAGMan, or the dependency release.
 func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
+	st := x.tasks[t]
+	st.attempts++
 	span := Span{Task: t, Node: node.Name, Start: p.Now()}
 	att := x.register(p, node, t)
-
-	attemptNo := 0
-	if x.rec != nil {
-		x.tries[t]++
-		attemptNo = x.tries[t]
-		x.rec.Record(eventlog.Event{
-			T: span.Start, Kind: eventlog.TaskStart, Task: t.ID, Node: node.Name, Attempt: attemptNo,
-		})
-	}
+	x.opts.Log.Record(eventlog.Event{
+		T: span.Start, Kind: eventlog.TaskStart, Task: t.ID, Node: node.Name, Attempt: st.attempts,
+	})
 
 	// Memory admission gates task start on resident-memory availability,
 	// the mechanism that makes Broadband memory-limited.
@@ -477,18 +457,24 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 		node.Memory.Acquire(p, memMB)
 	}
 
-	// abort records a failed attempt (injected failure or outage kill),
-	// frees the slot's memory and hands the task back to DAGMan. durable
-	// is the compute-seconds this attempt preserved via checkpoints;
-	// everything else the slot spent is lost work.
-	abort := func(durable float64) {
-		if memMB > 0 {
-			node.Memory.Release(memMB)
-		}
-		if att != nil && att.killed {
+	durable, ok := x.work(p, node, t, st, att, &span)
+	if memMB > 0 {
+		node.Memory.Release(memMB)
+	}
+	x.unregister(node, att)
+	span.WriteEnd = p.Now()
+	busy := span.WriteEnd - span.Start
+	x.result.BusySeconds += busy
+
+	if !ok {
+		// Abort (injected failure or outage kill): the slot's time is
+		// charged, and all of it beyond the durable compute-seconds that
+		// checkpoints preserved is lost work.
+		reason := "injected"
+		if att.dead() {
 			x.result.OutageKills++
+			reason = "outage"
 		}
-		span.WriteEnd = p.Now()
 		if span.Exec == 0 {
 			// Killed before computation began: the whole occupied window
 			// was staging (keeps trace phase accounting non-negative).
@@ -496,78 +482,84 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 		}
 		span.Failed = true
 		x.result.Spans = append(x.result.Spans, span)
-		x.result.BusySeconds += span.WriteEnd - span.Start
-		x.result.LostWorkSeconds += (span.WriteEnd - span.Start) - durable
+		x.result.LostWorkSeconds += busy - durable
 		x.result.Retries++
-		x.unregister(node, att)
-		if x.rec != nil {
-			reason := "injected"
-			if att != nil && att.killed {
-				reason = "outage"
-			}
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.TaskFail, Task: t.ID, Node: node.Name,
-				Attempt: attemptNo, Reason: reason,
-			})
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.TaskRetry, Task: t.ID, Attempt: attemptNo,
-			})
-		}
+		x.opts.Log.Record(eventlog.Event{
+			T: span.WriteEnd, Kind: eventlog.TaskFail, Task: t.ID, Node: node.Name,
+			Attempt: st.attempts, Reason: reason,
+		})
+		x.opts.Log.Record(eventlog.Event{
+			T: span.WriteEnd, Kind: eventlog.TaskRetry, Task: t.ID, Attempt: st.attempts,
+		})
 		x.ready.Put(t)
-	}
-	killed := func() bool { return att != nil && att.killed }
-	if killed() {
-		// The node died while this attempt was queued for memory
-		// admission; nothing ran, nothing is lost.
-		abort(0)
 		return
 	}
 
+	x.opts.Log.Record(eventlog.Event{
+		T: span.WriteEnd, Kind: eventlog.TaskFinish, Task: t.ID, Node: node.Name,
+		Attempt: st.attempts, Dur: busy,
+	})
+	x.result.Spans = append(x.result.Spans, span)
+
+	// DAGMan dependency release.
+	for _, c := range t.Children() {
+		cs := x.tasks[c]
+		cs.remain--
+		if cs.remain == 0 {
+			x.ready.Put(c)
+		}
+	}
+	x.done.Done()
+}
+
+// work runs one attempt's phases on an admitted slot: activation, input
+// staging, the restore of the last checkpoint, computation with its
+// checkpoints, and output publication. It returns the compute-seconds
+// this attempt's checkpoints preserved, and false when an injected
+// failure or an outage kill ended the attempt early. An outage is
+// noticed at the next phase boundary, or at once inside a compute sleep.
+func (x *execution) work(p *sim.Proc, node *cluster.Node, t *workflow.Task, st *taskRun, att *attempt, span *Span) (durable float64, ok bool) {
+	if att.dead() {
+		// The node died while this attempt was queued for memory
+		// admission; nothing ran, nothing is lost.
+		return 0, false
+	}
 	p.Sleep(startLatency)
-	if killed() {
+	if att.dead() {
 		// The node died during slot activation: abort before staging so a
 		// dead node issues no storage traffic.
-		abort(0)
-		return
+		return 0, false
 	}
 	for _, f := range t.Inputs {
 		x.stage(p, node, t, f, "input", false)
-		if killed() {
-			abort(0)
-			return
+		if att.dead() {
+			return 0, false
 		}
 	}
 	full := t.Runtime / node.Type.CPUFactor
 	resume := 0.0
-	if x.progress != nil {
-		if frac := x.progress[t]; frac > 0 {
-			// Restore the last checkpoint before resuming: real staging
-			// traffic through the storage backend, like any input read.
-			ck := x.ckptFile(t)
-			x.stage(p, node, t, ck, "restore", false)
-			resume = frac * full
-			if x.rec != nil {
-				x.rec.Record(eventlog.Event{
-					T: p.Now(), Kind: eventlog.CheckpointRestore,
-					Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: attemptNo,
-				})
-			}
-			if killed() {
-				abort(0)
-				return
-			}
+	if st.progress > 0 {
+		// Restore the last checkpoint before resuming: real staging
+		// traffic through the storage backend, like any input read.
+		ck := st.ckptFile(t)
+		x.stage(p, node, t, ck, "restore", false)
+		resume = st.progress * full
+		x.opts.Log.Record(eventlog.Event{
+			T: p.Now(), Kind: eventlog.CheckpointRestore,
+			Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: st.attempts,
+		})
+		if att.dead() {
+			return 0, false
 		}
 	}
 	span.Exec = p.Now()
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: span.Exec, Kind: eventlog.TaskExec, Task: t.ID, Node: node.Name, Attempt: attemptNo,
-		})
-	}
+	x.opts.Log.Record(eventlog.Event{
+		T: span.Exec, Kind: eventlog.TaskExec, Task: t.ID, Node: node.Name, Attempt: st.attempts,
+	})
 
 	cpu := full - resume
 	failAt := -1.0
-	if x.failRand != nil && x.attempts[t] < x.opts.MaxRetries &&
+	if x.failRand != nil && st.failures < x.opts.MaxRetries &&
 		x.failRand.Float64() < x.opts.FailureRate {
 		// Transient failure: the attempt dies a random fraction into its
 		// (remaining) computation, the slot is freed, and DAGMan
@@ -577,25 +569,20 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 		failAt = cpu * x.failRand.Float64()
 	}
 	ran := 0.0
-	durable := 0.0 // compute-seconds preserved by checkpoints this attempt
 	for {
 		chunk := cpu
 		if x.opts.CheckpointInterval > 0 && ran+x.opts.CheckpointInterval < cpu {
 			chunk = ran + x.opts.CheckpointInterval
 		}
 		if failAt >= 0 && failAt <= chunk {
-			if !x.sleepAttempt(p, att, failAt-ran) {
-				abort(durable)
-				return
+			if x.sleepAttempt(p, att, failAt-ran) {
+				st.failures++
+				x.result.Failures++
 			}
-			x.attempts[t]++
-			x.result.Failures++
-			abort(durable)
-			return
+			return durable, false
 		}
 		if !x.sleepAttempt(p, att, chunk-ran) {
-			abort(durable)
-			return
+			return durable, false
 		}
 		ran = chunk
 		if ran >= cpu {
@@ -607,53 +594,26 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 		// was killed while writing, the bytes landed, so the retry may
 		// resume from them (otherwise lost work would double-count paid
 		// checkpoint overhead).
-		ck := x.ckptFile(t)
+		ck := st.ckptFile(t)
 		x.stage(p, node, t, ck, "ckpt", true)
 		x.result.Checkpoints++
 		x.result.CheckpointBytes += ck.Size
-		x.progress[t] = (resume + ran) / full
+		st.progress = (resume + ran) / full
 		durable = ran
-		if x.rec != nil {
-			x.rec.Record(eventlog.Event{
-				T: p.Now(), Kind: eventlog.CheckpointWrite,
-				Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: attemptNo,
-			})
-		}
-		if killed() {
-			abort(durable)
-			return
+		x.opts.Log.Record(eventlog.Event{
+			T: p.Now(), Kind: eventlog.CheckpointWrite,
+			Task: t.ID, Node: node.Name, File: ck.Name, Size: ck.Size, Attempt: st.attempts,
+		})
+		if att.dead() {
+			return durable, false
 		}
 	}
 
 	for _, f := range t.Outputs {
 		x.stage(p, node, t, f, "output", true)
-		if killed() {
-			abort(durable)
-			return
+		if att.dead() {
+			return durable, false
 		}
 	}
-	span.WriteEnd = p.Now()
-	if x.rec != nil {
-		x.rec.Record(eventlog.Event{
-			T: span.WriteEnd, Kind: eventlog.TaskFinish, Task: t.ID, Node: node.Name,
-			Attempt: attemptNo, Dur: span.WriteEnd - span.Start,
-		})
-	}
-
-	if memMB > 0 {
-		node.Memory.Release(memMB)
-	}
-
-	x.result.Spans = append(x.result.Spans, span)
-	x.result.BusySeconds += span.WriteEnd - span.Start
-	x.unregister(node, att)
-
-	// DAGMan dependency release.
-	for _, c := range t.Children() {
-		x.remain[c]--
-		if x.remain[c] == 0 {
-			x.ready.Put(c)
-		}
-	}
-	x.done.Done()
+	return durable, true
 }
