@@ -196,9 +196,10 @@ func MemoryMB(bytes float64) int {
 	return mb
 }
 
-// NewNode builds a node of the given type, registering its resources.
-// Its page cache starts empty, with the OS reserve held back.
-func NewNode(e *sim.Engine, net *flow.Net, name string, index int, t InstanceType) *Node {
+// newNode builds a node of the given type, registering its resources.
+// Its page cache starts empty, with the OS reserve held back, and keeps
+// its entries in the cluster's store.
+func newNode(e *sim.Engine, net *flow.Net, store *cacheStore, name string, index int, t InstanceType) *Node {
 	n := &Node{
 		Name:   name,
 		Index:  index,
@@ -208,7 +209,7 @@ func NewNode(e *sim.Engine, net *flow.Net, name string, index int, t InstanceTyp
 		NICOut: flow.NewResource(name+"/nic-out", t.NICBandwidth),
 		Disk:   disk.New(net, name+"/disk", t.DiskProfile),
 	}
-	n.Cache = NewPageCache(n, osReserve)
+	n.Cache = newPageCache(n, store, osReserve)
 	return n
 }
 
@@ -263,9 +264,10 @@ func New(e *sim.Engine, net *flow.Net, r *rng.RNG, cfg Config) (*Cluster, error)
 		return nil, fmt.Errorf("cluster: worker type has no cores (zero InstanceType?)")
 	}
 	c := &Cluster{Engine: e, Net: net}
+	store := &cacheStore{}
 	slowest := 0.0
 	for i := 0; i < cfg.Workers; i++ {
-		n := NewNode(e, net, fmt.Sprintf("worker%d", i), i, cfg.WorkerType)
+		n := newNode(e, net, store, fmt.Sprintf("worker%d", i), i, cfg.WorkerType)
 		n.BootDelay = bootMin + (bootMax-bootMin)*r.Float64()
 		if n.BootDelay > slowest {
 			slowest = n.BootDelay
@@ -273,7 +275,7 @@ func New(e *sim.Engine, net *flow.Net, r *rng.RNG, cfg Config) (*Cluster, error)
 		c.Workers = append(c.Workers, n)
 	}
 	for i, t := range cfg.Extra {
-		n := NewNode(e, net, fmt.Sprintf("%s-svc%d", t.Name, i), i, t)
+		n := newNode(e, net, store, fmt.Sprintf("%s-svc%d", t.Name, i), i, t)
 		n.BootDelay = bootMin + (bootMax-bootMin)*r.Float64()
 		if n.BootDelay > slowest {
 			slowest = n.BootDelay

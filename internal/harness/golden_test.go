@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ec2wfsim/internal/apps"
+	"ec2wfsim/internal/storage"
 	"ec2wfsim/internal/wms"
 )
 
@@ -278,6 +280,80 @@ func TestGoldenStriped(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareCells(t, "striped pvfs/128", got, want)
+}
+
+// goldenFaultCell pins a fault-path cell's timing, fault counters and
+// storage counters.
+type goldenFaultCell struct {
+	Label    string  `json:"label"`
+	Makespan float64 `json:"makespan_s"`
+	wms.FaultCounts
+	Stats storage.Stats `json:"stats"`
+}
+
+// TestGoldenFaultCells pins the backends that keep per-file placement
+// tables (GlusterFS NUFA, PVFS, S3) under injected failures, outages and
+// checkpoints. Checkpoint files are written only on these paths, so a
+// change to how a backend tracks them fails here; the NFS fault path is
+// pinned by the golden event log. The knobs are that log's.
+//
+// Regenerate deliberately with:
+//
+//	go test ./internal/harness -run TestGoldenFaultCells -update-golden
+func TestGoldenFaultCells(t *testing.T) {
+	t.Parallel()
+	w, err := apps.Montage(apps.MontageConfig{Images: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []goldenFaultCell
+	for _, sys := range []string{"gluster-nufa", "pvfs", "s3"} {
+		r, err := Run(RunConfig{
+			App: "montage", Storage: sys, Workers: 2, Workflow: w,
+			Faults: wms.Faults{FailureRate: 0.2, OutageRate: 30, OutageDuration: 5, CheckpointInterval: 20},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Failures == 0 || r.OutageKills == 0 || r.Checkpoints == 0 {
+			t.Fatalf("%s: failures/outage kills/checkpoints = %d/%d/%d: the cell misses a fault path",
+				sys, r.Failures, r.OutageKills, r.Checkpoints)
+		}
+		got = append(got, goldenFaultCell{
+			Label:       "montage-6/" + sys + "/2",
+			Makespan:    r.Makespan,
+			FaultCounts: r.FaultCounts,
+			Stats:       r.Stats,
+		})
+	}
+	path := filepath.Join("testdata", "golden_faults.json")
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update-golden to create): %v", err)
+	}
+	var want []goldenFaultCell
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fault cells: %d cells, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("fault cell %s drifted:\n got: %+v\nwant: %+v", want[i].Label, got[i], want[i])
+		}
+	}
 }
 
 // TestGoldenSweepDeterminism asserts the sweep engine's core promise:

@@ -421,6 +421,66 @@ func TestMailboxMultipleConsumers(t *testing.T) {
 	}
 }
 
+// TestMailboxSteadyStateAllocationFree: a mailbox with a standing
+// backlog reuses its array, so a stream of Puts and Gets allocates
+// nothing once warm, and still delivers in FIFO order.
+func TestMailboxSteadyStateAllocationFree(t *testing.T) {
+	e := NewEngine()
+	m := NewMailbox[int](e)
+	next, want := 0, 0
+	for ; next < 8; next++ {
+		m.Put(next)
+	}
+	churn := func() {
+		for i := 0; i < 64; i++ {
+			m.Put(next)
+			next++
+			// Items are queued, so Get returns without touching the proc.
+			if v, _ := m.Get(nil); v != want {
+				t.Fatalf("Get = %d, want %d (FIFO)", v, want)
+			}
+			want++
+		}
+	}
+	churn() // warm up the array
+	if allocs := testing.AllocsPerRun(100, churn); allocs > 0 {
+		t.Errorf("mailbox churn allocated %.1f objects per 64 Put/Get pairs, want 0", allocs)
+	}
+	if m.Len() != 8 {
+		t.Errorf("Len = %d, want the standing backlog of 8", m.Len())
+	}
+}
+
+// TestMailboxParkedReceiverAllocationFree: a receiver that parks on an
+// empty mailbox between items reuses the waiter queue's array too.
+func TestMailboxParkedReceiverAllocationFree(t *testing.T) {
+	e := NewEngine()
+	m := NewMailbox[int](e)
+	got := 0
+	e.GoDaemon("receiver", func(p *Proc) {
+		for {
+			v, ok := m.Get(p)
+			if !ok {
+				return
+			}
+			got += v
+		}
+	})
+	e.GoDaemon("sender", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			m.Put(1)
+		}
+	})
+	e.RunUntil(10) // warm up
+	if allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 5) }); allocs > 0 {
+		t.Errorf("parked-receiver churn allocated %.1f objects per 5 items, want 0", allocs)
+	}
+	if got < 500 {
+		t.Errorf("receiver got %d items, want one per tick", got)
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "s", 1)

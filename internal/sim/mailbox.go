@@ -6,8 +6,8 @@ package sim
 // blocked receivers are served FIFO.
 type Mailbox[T any] struct {
 	e       *Engine
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters fifo[*Proc]
 	closed  bool
 }
 
@@ -17,14 +17,14 @@ func NewMailbox[T any](e *Engine) *Mailbox[T] {
 }
 
 // Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }
 
 // Put enqueues v, waking one blocked receiver if any.
 func (m *Mailbox[T]) Put(v T) {
 	if m.closed {
 		panic("sim: Put on closed mailbox")
 	}
-	m.items = append(m.items, v)
+	m.items.push(v)
 	m.wakeOne()
 }
 
@@ -35,17 +35,14 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
-	for _, p := range m.waiters {
-		m.e.wake(p)
+	for m.waiters.len() > 0 {
+		m.e.wake(m.waiters.pop())
 	}
-	m.waiters = nil
 }
 
 func (m *Mailbox[T]) wakeOne() {
-	if len(m.waiters) > 0 {
-		p := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		m.e.wake(p)
+	if m.waiters.len() > 0 {
+		m.e.wake(m.waiters.pop())
 	}
 }
 
@@ -53,13 +50,10 @@ func (m *Mailbox[T]) wakeOne() {
 // returns ok == false when the mailbox is closed and drained.
 func (m *Mailbox[T]) Get(p *Proc) (v T, ok bool) {
 	for {
-		if len(m.items) > 0 {
-			v = m.items[0]
-			var zero T
-			m.items[0] = zero
-			m.items = m.items[1:]
+		if m.items.len() > 0 {
+			v = m.items.pop()
 			// If items remain and other receivers are parked, hand one on.
-			if len(m.items) > 0 {
+			if m.items.len() > 0 {
 				m.wakeOne()
 			}
 			return v, true
@@ -67,7 +61,7 @@ func (m *Mailbox[T]) Get(p *Proc) (v T, ok bool) {
 		if m.closed {
 			return v, false
 		}
-		m.waiters = append(m.waiters, p)
+		m.waiters.push(p)
 		p.suspend()
 	}
 }

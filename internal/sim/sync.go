@@ -11,7 +11,7 @@ type Semaphore struct {
 	name     string
 	capacity int
 	avail    int
-	waiters  []semWaiter
+	waiters  fifo[semWaiter]
 }
 
 type semWaiter struct {
@@ -45,11 +45,11 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	if n > s.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", n, s.capacity, s.name))
 	}
-	if len(s.waiters) == 0 && s.avail >= n {
+	if s.waiters.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return
 	}
-	s.waiters = append(s.waiters, semWaiter{p: p, n: n})
+	s.waiters.push(semWaiter{p: p, n: n})
 	p.suspend()
 }
 
@@ -58,7 +58,7 @@ func (s *Semaphore) TryAcquire(n int) bool {
 	if n < 0 || n > s.capacity {
 		return false
 	}
-	if len(s.waiters) == 0 && s.avail >= n {
+	if s.waiters.len() == 0 && s.avail >= n {
 		s.avail -= n
 		return true
 	}
@@ -79,9 +79,8 @@ func (s *Semaphore) Release(n int) {
 
 // admit wakes queued waiters, in order, while they fit.
 func (s *Semaphore) admit() {
-	for len(s.waiters) > 0 && s.waiters[0].n <= s.avail {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.len() > 0 && s.waiters.front().n <= s.avail {
+		w := s.waiters.pop()
 		s.avail -= w.n
 		s.e.wake(w.p)
 	}

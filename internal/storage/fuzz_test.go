@@ -51,12 +51,10 @@ func checkArbitraryWorkload(sysName string, seed uint64, opsRaw []uint16) error 
 	// earlier writes (write-once semantics with no cross-client
 	// read-before-write races).
 	r := rng.New(seed + 2)
+	files := workflow.New("ops")
 	var staged []*workflow.File
 	for i := 0; i < 4; i++ {
-		staged = append(staged, &workflow.File{
-			Name: fmt.Sprintf("in-%d", i),
-			Size: float64(r.Intn(50)+1) * units.MB,
-		})
+		staged = append(staged, files.File(fmt.Sprintf("in-%d", i), float64(r.Intn(50)+1)*units.MB))
 	}
 	sys.PreStage(staged)
 
@@ -79,7 +77,7 @@ func checkArbitraryWorkload(sysName string, seed uint64, opsRaw []uint16) error 
 		var plan []plannedOp
 		for _, op := range ops {
 			if op%2 == 0 {
-				f := &workflow.File{Name: fmt.Sprintf("out-%d", nextID), Size: float64(op%2048+1) * units.KB}
+				f := files.File(fmt.Sprintf("out-%d", nextID), float64(op%2048+1)*units.KB)
 				nextID++
 				readable = append(readable, f)
 				plan = append(plan, plannedOp{read: false, f: f})
@@ -206,7 +204,7 @@ func TestPropertyRereadNeverSlower(t *testing.T) {
 				if err := sys.Init(env); err != nil {
 					return false
 				}
-				file := &workflow.File{Name: "data", Size: float64(sizeRaw%2000+1) * units.MB}
+				file := workflow.New("reread").File("data", float64(sizeRaw%2000+1)*units.MB)
 				sys.PreStage([]*workflow.File{file})
 				ok := true
 				e.Go("reader", func(p *sim.Proc) {

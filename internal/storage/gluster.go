@@ -35,7 +35,7 @@ type Gluster struct {
 	Mode GlusterMode
 
 	env   *Env
-	loc   map[*workflow.File]*cluster.Node
+	loc   []*cluster.Node // by File.Index: the node holding the file
 	stats Stats
 }
 
@@ -59,7 +59,6 @@ func (g *Gluster) Init(env *Env) error {
 		return err
 	}
 	g.env = env
-	g.loc = make(map[*workflow.File]*cluster.Node)
 	return nil
 }
 
@@ -74,11 +73,11 @@ func (g *Gluster) hashOwner(f *workflow.File) *cluster.Node {
 // distribute mode.
 func (g *Gluster) PreStage(files []*workflow.File) {
 	for i, f := range files {
+		owner := g.env.Workers[i%len(g.env.Workers)]
 		if g.Mode == Distribute {
-			g.loc[f] = g.hashOwner(f)
-		} else {
-			g.loc[f] = g.env.Workers[i%len(g.env.Workers)]
+			owner = g.hashOwner(f)
 		}
+		*slot(&g.loc, fileIndex(f)) = owner
 	}
 }
 
@@ -96,8 +95,8 @@ func (g *Gluster) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		return
 	}
 	g.stats.CacheMisses++
-	owner, ok := g.loc[f]
-	if !ok {
+	owner := at(g.loc, fileIndex(f))
+	if owner == nil {
 		panic(fmt.Sprintf("gluster: read of file %q that was never written or staged", f.Name))
 	}
 	if owner != node {
@@ -119,7 +118,7 @@ func (g *Gluster) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		g.stats.NetworkBytes += f.Size
 	}
 	writeRemote(p, node, owner, f.Size)
-	g.loc[f] = owner
+	*slot(&g.loc, fileIndex(f)) = owner
 	node.Cache.Insert(f)
 }
 
@@ -128,4 +127,4 @@ func (g *Gluster) Stats() Stats { return g.stats }
 
 // Owner reports which node holds f (nil if unknown), letting a data-aware
 // scheduler exploit NUFA locality.
-func (g *Gluster) Owner(f *workflow.File) *cluster.Node { return g.loc[f] }
+func (g *Gluster) Owner(f *workflow.File) *cluster.Node { return at(g.loc, fileIndex(f)) }

@@ -89,7 +89,7 @@ func (n *NFS) Init(env *Env) error {
 	eff := n.server.Type.NICBandwidth / (1 + nfsIncast*float64(len(env.Workers)-1))
 	n.srvIn = flow.NewResource("nfs-srv-in", eff)
 	n.srvOut = flow.NewResource("nfs-srv-out", eff)
-	n.server.Cache = cluster.NewPageCache(n.server, nfsServerReserve)
+	n.server.Cache.SetReserve(nfsServerReserve)
 	n.dirtyLimit = 0.4 * n.server.Type.Memory
 	n.flusherNotify = sim.NewMailbox[struct{}](env.E)
 	env.E.GoDaemon("nfs-flusher", n.flusher)

@@ -25,6 +25,7 @@ func newCache(t testing.TB) (*cluster.PageCache, *cluster.Node) {
 }
 
 func TestPageCacheLRUEviction(t *testing.T) {
+	wf := newFiles()
 	pc, _ := newCache(t)
 	// c1.xlarge idle capacity: 7 GiB - 512 MiB reserve ~= 6.98 GB.
 	a := wf("a", 3*units.GB)
@@ -49,6 +50,7 @@ func TestPageCacheLRUEviction(t *testing.T) {
 }
 
 func TestPageCacheReinsertIsIdempotent(t *testing.T) {
+	wf := newFiles()
 	pc, _ := newCache(t)
 	f := wf("f", units.GB)
 	pc.Insert(f)
@@ -73,6 +75,7 @@ func TestPageCacheCapacityTracksMemoryUse(t *testing.T) {
 }
 
 func TestPageCacheHitMissCounters(t *testing.T) {
+	wf := newFiles()
 	pc, _ := newCache(t)
 	f := wf("f", units.MB)
 	if pc.Lookup(f) {
@@ -88,6 +91,7 @@ func TestPageCacheHitMissCounters(t *testing.T) {
 // moment of the last operation, for arbitrary insert/lookup/pressure
 // sequences.
 func TestPropertyPageCacheNeverOverCapacity(t *testing.T) {
+	wf := newFiles()
 	f := func(ops []uint16) bool {
 		pc, node := newCache(t)
 		files := make([]*workflow.File, 16)
@@ -126,6 +130,7 @@ func TestPropertyPageCacheNeverOverCapacity(t *testing.T) {
 }
 
 func TestNFSDirtyThrottleDegradesToDiskSpeed(t *testing.T) {
+	wf := newFiles()
 	// Flood the server with async writes far beyond its dirty limit: the
 	// later writes must slow from NIC speed toward disk speed.
 	r := newRig(t, NewNFS(), 1)
@@ -156,6 +161,7 @@ func TestNFSDirtyThrottleDegradesToDiskSpeed(t *testing.T) {
 }
 
 func TestNFSPreStageWarmsServerCache(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewNFS(), 1)
 	f := wf("input", 100*units.MB)
 	r.sys.PreStage([]*workflow.File{f})
@@ -176,6 +182,7 @@ func TestNFSPreStageWarmsServerCache(t *testing.T) {
 // a and b are pre-staged in that order, so a is least recently used;
 // rewriting a must not save it from the eviction that writing c forces.
 func TestNFSServerRewriteKeepsRecency(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewNFS(), 1)
 	node := r.c.Workers[0]
 	a, b, c := wf("a", 7*units.GB), wf("b", 7*units.GB), wf("c", 3*units.GB)

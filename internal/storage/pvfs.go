@@ -39,8 +39,10 @@ const (
 // small-file optimizations, this is why the paper finds PVFS poor for
 // Montage and Broadband, whose files are re-read heavily.
 type PVFS struct {
-	env   *Env
-	start map[*workflow.File]int // first stripe server index
+	env *Env
+	// start is by File.Index: the file's first stripe server plus one,
+	// or 0 while the file does not exist.
+	start []int32
 	stats Stats
 	// res is the per-shard resource scratch reused across stripedIO
 	// calls; safe because Batch.Add copies it into the shard record
@@ -63,15 +65,19 @@ func (v *PVFS) Init(env *Env) error {
 		return err
 	}
 	v.env = env
-	v.start = make(map[*workflow.File]int)
 	return nil
 }
 
 // PreStage implements System.
 func (v *PVFS) PreStage(files []*workflow.File) {
 	for _, f := range files {
-		v.start[f] = int(rng.HashString(f.Name) % uint64(len(v.env.Workers)))
+		*slot(&v.start, fileIndex(f)) = v.placement(f)
 	}
+}
+
+// placement is f's first stripe server plus one, by name hash.
+func (v *PVFS) placement(f *workflow.File) int32 {
+	return int32(rng.HashString(f.Name)%uint64(len(v.env.Workers))) + 1
 }
 
 // stripeWidth returns how many servers a file of the given size spans: a
@@ -88,24 +94,17 @@ func (v *PVFS) stripeWidth(size float64) int {
 	return width
 }
 
-// servers yields the stripe servers for f in placement order.
-func (v *PVFS) servers(f *workflow.File) []*cluster.Node {
-	startIdx, ok := v.start[f]
-	if !ok {
+// stripedIO fans the file out over its stripe servers in parallel, each
+// shard crossing the server's disk (and the NICs when remote). The
+// servers are the width workers from the file's first stripe server on,
+// in placement order, wrapping around.
+func (v *PVFS) stripedIO(p *sim.Proc, node *cluster.Node, f *workflow.File, write bool) {
+	first := int(at(v.start, fileIndex(f))) - 1
+	if first < 0 {
 		panic(fmt.Sprintf("pvfs: access to file %q that was never created", f.Name))
 	}
+	workers := v.env.Workers
 	width := v.stripeWidth(f.Size)
-	out := make([]*cluster.Node, width)
-	for i := range out {
-		out[i] = v.env.Workers[(startIdx+i)%len(v.env.Workers)]
-	}
-	return out
-}
-
-// stripedIO fans the file out over its stripe servers in parallel, each
-// shard crossing the server's disk (and the NICs when remote).
-func (v *PVFS) stripedIO(p *sim.Proc, node *cluster.Node, f *workflow.File, write bool) {
-	servers := v.servers(f)
 	// A striped file is unavailable while ANY of its stripe servers is
 	// down — the whole-file fan-out below needs every shard. This is what
 	// makes node outages disproportionately expensive for PVFS. Rescan
@@ -113,21 +112,22 @@ func (v *PVFS) stripedIO(p *sim.Proc, node *cluster.Node, f *workflow.File, writ
 	// again while we waited on a later one (overlapping outages).
 	for again := true; again; {
 		again = false
-		for _, s := range servers {
-			if s.Down() {
+		for i := 0; i < width; i++ {
+			if s := workers[(first+i)%len(workers)]; s.Down() {
 				s.WaitUp(p)
 				again = true
 			}
 		}
 	}
-	share := f.Size / float64(len(servers))
+	share := f.Size / float64(width)
 	// All shards of one logical file move through the client's request
 	// window, modelled as a pooled rate cap shared by the shard
 	// transfers. The shards register through a Batch: one reallocation
 	// for the whole fan-out instead of one per stripe server.
 	window := v.env.Net.AcquireCap("pvfs-client-window", pvfsClientStreamRate)
 	b := v.env.Net.NewBatch()
-	for _, s := range servers {
+	for i := 0; i < width; i++ {
+		s := workers[(first+i)%len(workers)]
 		res := append(v.res[:0], window)
 		if write {
 			res = append(res, s.Disk.WriteResource())
@@ -163,8 +163,8 @@ func (v *PVFS) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 func (v *PVFS) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	v.stats.Writes++
 	p.Sleep(pvfsCreateLatency)
-	if _, ok := v.start[f]; !ok {
-		v.start[f] = int(rng.HashString(f.Name) % uint64(len(v.env.Workers)))
+	if s := slot(&v.start, fileIndex(f)); *s == 0 {
+		*s = v.placement(f)
 	}
 	v.stripedIO(p, node, f, true)
 }

@@ -34,11 +34,21 @@ type S3 struct {
 	CacheEnabled bool
 	label        string
 
-	env        *Env
-	service    *flow.Resource
-	objects    map[*workflow.File]bool                   // objects stored in S3
-	nodeCached map[*cluster.Node]map[*workflow.File]bool // whole-file disk caches
-	stats      Stats
+	env     *Env
+	service *flow.Resource
+	objects []bool // by File.Index: the object is stored in S3
+	// copies lists the whole-file disk caches that hold each file: by
+	// File.Index, the file's first entry in copySlab, whose entries link
+	// to the next worker holding the same file (0 ends a list).
+	copies   []int32
+	copySlab []s3Copy
+	stats    Stats
+}
+
+// s3Copy is one worker's local copy of a file.
+type s3Copy struct {
+	node *cluster.Node
+	next int32
 }
 
 // NewS3 returns the paper's S3 client with whole-file caching.
@@ -60,11 +70,7 @@ func (s *S3) Init(env *Env) error {
 	}
 	s.env = env
 	s.service = flow.NewResource("s3-service", s3AggregateRate)
-	s.objects = make(map[*workflow.File]bool)
-	s.nodeCached = make(map[*cluster.Node]map[*workflow.File]bool, len(env.Workers))
-	for _, w := range env.Workers {
-		s.nodeCached[w] = make(map[*workflow.File]bool)
-	}
+	s.copySlab = []s3Copy{{}} // entry 0 ends every list
 	return nil
 }
 
@@ -72,13 +78,13 @@ func (s *S3) Init(env *Env) error {
 // measured window.
 func (s *S3) PreStage(files []*workflow.File) {
 	for _, f := range files {
-		s.objects[f] = true
+		*slot(&s.objects, fileIndex(f)) = true
 	}
 }
 
 // get downloads f from S3 to node's local disk.
 func (s *S3) get(p *sim.Proc, node *cluster.Node, f *workflow.File) {
-	if !s.objects[f] {
+	if !at(s.objects, fileIndex(f)) {
 		panic(fmt.Sprintf("s3: GET of object %q that was never PUT", f.Name))
 	}
 	s.stats.Gets++
@@ -109,14 +115,24 @@ func (s *S3) put(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		node.Disk.Read(p, f.Size, conn, s.service, node.NICOut)
 	}
 	s.env.Net.ReleaseCap(conn)
-	s.objects[f] = true
+	*slot(&s.objects, fileIndex(f)) = true
+}
+
+// keep records node's local copy of f in the client cache.
+func (s *S3) keep(node *cluster.Node, f *workflow.File) {
+	if s.CachedOn(node, f) {
+		return
+	}
+	first := slot(&s.copies, fileIndex(f))
+	s.copySlab = append(s.copySlab, s3Copy{node: node, next: *first})
+	*first = int32(len(s.copySlab) - 1)
 }
 
 // Read implements System: ensure a local copy (GET on cache miss), then
 // the task reads it from local disk.
 func (s *S3) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	s.stats.Reads++
-	if s.CacheEnabled && s.nodeCached[node][f] {
+	if s.CachedOn(node, f) {
 		s.stats.CacheHits++
 		s.env.recordCache(p, true, "client", node, f)
 	} else {
@@ -124,7 +140,7 @@ func (s *S3) Read(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 		s.env.recordCache(p, false, "client", node, f)
 		s.get(p, node, f)
 		if s.CacheEnabled {
-			s.nodeCached[node][f] = true
+			s.keep(node, f)
 		}
 	}
 	// Local read of the staged copy (second of the paper's "read twice").
@@ -144,7 +160,7 @@ func (s *S3) Write(p *sim.Proc, node *cluster.Node, f *workflow.File) {
 	node.Cache.Insert(f)
 	s.put(p, node, f)
 	if s.CacheEnabled {
-		s.nodeCached[node][f] = true
+		s.keep(node, f)
 	}
 }
 
@@ -154,5 +170,13 @@ func (s *S3) Stats() Stats { return s.stats }
 // CachedOn reports whether node already holds a local copy of f, letting
 // a data-aware scheduler raise the client cache's hit rate.
 func (s *S3) CachedOn(node *cluster.Node, f *workflow.File) bool {
-	return s.CacheEnabled && s.nodeCached[node][f]
+	if !s.CacheEnabled {
+		return false
+	}
+	for c := at(s.copies, fileIndex(f)); c != 0; c = s.copySlab[c].next {
+		if s.copySlab[c].node == node {
+			return true
+		}
+	}
+	return false
 }

@@ -114,6 +114,36 @@ func checkInit(s System, env *Env) error {
 	return nil
 }
 
+// fileIndex returns f's dense index, its slot in a system's per-file
+// tables. It panics on a file no workflow interned: index 0 would give
+// every such file the same slot.
+func fileIndex(f *workflow.File) int {
+	i := f.Index()
+	if i == 0 {
+		panic(fmt.Sprintf("storage: file %q was not interned by a workflow", f.Name))
+	}
+	return i
+}
+
+// slot returns a pointer to (*s)[i], growing *s with zero values to
+// hold it. Per-file tables grow this way, so a run's checkpoint files,
+// whose indices lie past its workflow's files, get slots too.
+func slot[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
+	}
+	return &(*s)[i]
+}
+
+// at returns s[i], or the zero value past the end of s.
+func at[T any](s []T, i int) T {
+	if i < len(s) {
+		return s[i]
+	}
+	var zero T
+	return zero
+}
+
 // readRemote charges a read of size bytes from owner's disk into reader,
 // skipping the NICs when both are the same node. A down owner makes the
 // data unavailable: the read blocks until the node recovers (its disk

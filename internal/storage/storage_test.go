@@ -2,8 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"ec2wfsim/internal/cluster"
@@ -42,8 +44,9 @@ func deployOutage(t *testing.T, sysName string) (*sim.Engine, *cluster.Cluster, 
 // TestReadBlocksWhileOwnerDown: a GlusterFS read whose owner node is
 // offline must wait for the node to recover before the data moves.
 func TestReadBlocksWhileOwnerDown(t *testing.T) {
+	wf := newFiles()
 	e, c, sys := deployOutage(t, "gluster-nufa")
-	f := &workflow.File{Name: "data", Size: 10 * units.MB}
+	f := wf("data", 10*units.MB)
 	sys.PreStage([]*workflow.File{f}) // round-robin: lands on worker 0
 	owner, reader := c.Workers[0], c.Workers[1]
 	owner.SetDown()
@@ -62,8 +65,9 @@ func TestReadBlocksWhileOwnerDown(t *testing.T) {
 // TestPVFSStripedReadBlocksOnAnyServer: PVFS fans every read over all
 // stripe servers, so one down node stalls the whole file.
 func TestPVFSStripedReadBlocksOnAnyServer(t *testing.T) {
+	wf := newFiles()
 	e, c, sys := deployOutage(t, "pvfs")
-	f := &workflow.File{Name: "striped", Size: 10 * units.MB} // spans both workers
+	f := wf("striped", 10*units.MB) // spans both workers
 	sys.PreStage([]*workflow.File{f})
 	c.Workers[1].SetDown()
 	e.At(30, func() { c.Workers[1].SetUp() })
@@ -82,8 +86,9 @@ func TestPVFSStripedReadBlocksOnAnyServer(t *testing.T) {
 // cache must come back empty (a re-read pays the full cost again) while
 // S3's disk-backed whole-file cache survives.
 func TestPageCacheLostOnOutage(t *testing.T) {
+	wf := newFiles()
 	e, c, sys := deployOutage(t, "gluster-nufa")
-	f := &workflow.File{Name: "hot", Size: 50 * units.MB}
+	f := wf("hot", 50*units.MB)
 	sys.PreStage([]*workflow.File{f})
 	node := c.Workers[0]
 	var warm, cold float64
@@ -145,11 +150,15 @@ func (r *rig) timed(fn func(p *sim.Proc)) float64 {
 	return took
 }
 
-func wf(name string, size float64) *workflow.File {
-	return &workflow.File{Name: name, Size: size}
+// newFiles returns a maker of interned test files. Each test takes its
+// own, so no two files in one cluster share an index; a name asked for
+// twice returns the first file.
+func newFiles() func(name string, size float64) *workflow.File {
+	return workflow.New("storage-test").File
 }
 
 func TestLocalReadWriteTiming(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewLocal(), 1)
 	n := r.c.Workers[0]
 	f := wf("data", 800*units.MB)
@@ -184,6 +193,7 @@ func TestLocalRejectsMultiNode(t *testing.T) {
 }
 
 func TestPageCacheMemoryPressure(t *testing.T) {
+	wf := newFiles()
 	e := sim.NewEngine()
 	net := flow.NewNet(e)
 	c, err := cluster.New(e, net, rng.New(7), cluster.Config{Workers: 1, WorkerType: cluster.C1XLarge()})
@@ -207,6 +217,7 @@ func TestPageCacheMemoryPressure(t *testing.T) {
 }
 
 func TestPageCacheSkipsOversizedFiles(t *testing.T) {
+	wf := newFiles()
 	e := sim.NewEngine()
 	net := flow.NewNet(e)
 	c, _ := cluster.New(e, net, rng.New(7), cluster.Config{Workers: 1, WorkerType: cluster.C1XLarge()})
@@ -219,6 +230,7 @@ func TestPageCacheSkipsOversizedFiles(t *testing.T) {
 }
 
 func TestNFSReadCrossesServerNIC(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewNFS(), 2)
 	f := wf("input", 1.2*units.GB)
 	r.sys.PreStage([]*workflow.File{f})
@@ -238,6 +250,7 @@ func TestNFSReadCrossesServerNIC(t *testing.T) {
 }
 
 func TestNFSAsyncWriteFasterThanSync(t *testing.T) {
+	wf := newFiles()
 	asyncRig := newRig(t, NewNFS(), 1)
 	f1 := wf("out", 600*units.MB)
 	asyncTook := asyncRig.timed(func(p *sim.Proc) {
@@ -259,6 +272,7 @@ func TestNFSAsyncWriteFasterThanSync(t *testing.T) {
 }
 
 func TestNFSManyClientsContendOnServer(t *testing.T) {
+	wf := newFiles()
 	makespan := func(workers int) float64 {
 		r := newRig(t, NewNFS(), workers)
 		files := make([]*workflow.File, workers)
@@ -285,6 +299,7 @@ func TestNFSManyClientsContendOnServer(t *testing.T) {
 func fileName(i int) string { return "f" + string(rune('a'+i)) }
 
 func TestGlusterNUFAWritesLocally(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewGluster(NUFA), 2)
 	f := wf("out", 800*units.MB)
 	took := r.timed(func(p *sim.Proc) {
@@ -300,6 +315,7 @@ func TestGlusterNUFAWritesLocally(t *testing.T) {
 }
 
 func TestGlusterNUFARemoteReadCrossesNetwork(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewGluster(NUFA), 2)
 	f := wf("out", 1.2*units.GB)
 	r.e.Go("writer", func(p *sim.Proc) {
@@ -315,6 +331,7 @@ func TestGlusterNUFARemoteReadCrossesNetwork(t *testing.T) {
 }
 
 func TestGlusterDistributePlacementByHash(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewGluster(Distribute), 4)
 	g := r.sys.(*Gluster)
 	// Hash placement must be stable and spread across nodes.
@@ -323,7 +340,7 @@ func TestGlusterDistributePlacementByHash(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			f := wf("file-"+string(rune('a'+i%26))+string(rune('0'+i/26)), units.MB)
 			r.sys.Write(p, r.c.Workers[0], f)
-			counts[g.loc[f]]++
+			counts[g.Owner(f)]++
 		}
 	})
 	r.e.Run()
@@ -346,6 +363,7 @@ func TestGlusterRequiresTwoNodes(t *testing.T) {
 }
 
 func TestGlusterReadUnknownFilePanics(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewGluster(NUFA), 2)
 	r.e.Go("reader", func(p *sim.Proc) {
 		r.sys.Read(p, r.c.Workers[0], wf("ghost", units.MB))
@@ -358,7 +376,44 @@ func TestGlusterReadUnknownFilePanics(t *testing.T) {
 	r.e.Run()
 }
 
+// TestUninternedFilePanics: every system keys its per-file state by the
+// file's dense index, so a file no workflow interned (index 0) must
+// panic on write and on read rather than share a slot with every other
+// such file.
+func TestUninternedFilePanics(t *testing.T) {
+	for _, name := range Names() {
+		for _, write := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/write=%v", name, write), func(t *testing.T) {
+				sys, err := ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers := 2
+				if CheckWorkers(name, workers) != nil {
+					workers = 1
+				}
+				r := newRig(t, sys, workers)
+				loose := &workflow.File{Name: "loose", Size: units.MB}
+				r.e.Go("client", func(p *sim.Proc) {
+					if write {
+						r.sys.Write(p, r.c.Workers[0], loose)
+					} else {
+						r.sys.Read(p, r.c.Workers[0], loose)
+					}
+				})
+				defer func() {
+					if v := recover(); !strings.Contains(fmt.Sprint(v), "interned") {
+						t.Fatalf("access to an un-interned file: panic %v, want one naming it un-interned", v)
+					}
+				}()
+				r.e.Run()
+			})
+		}
+	}
+}
+
 func TestPVFSSingleReaderCappedByClientWindow(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewPVFS(), 4)
 	f := wf("big", 2*units.GB)
 	r.sys.PreStage([]*workflow.File{f})
@@ -373,6 +428,7 @@ func TestPVFSSingleReaderCappedByClientWindow(t *testing.T) {
 }
 
 func TestPVFSConcurrentReadersScaleAcrossServers(t *testing.T) {
+	wf := newFiles()
 	// Different clients have independent windows, and stripes spread the
 	// load over every server: four concurrent 2 GB reads finish together
 	// in roughly the single-read time, not 4x it.
@@ -395,6 +451,7 @@ func TestPVFSConcurrentReadersScaleAcrossServers(t *testing.T) {
 }
 
 func TestPVFSSmallFilePenaltyDominates(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewPVFS(), 2)
 	small := wf("small", 100*units.KB)
 	took := r.timed(func(p *sim.Proc) {
@@ -412,6 +469,7 @@ func TestPVFSSmallFilePenaltyDominates(t *testing.T) {
 }
 
 func TestS3CachePreventsRepeatGETs(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewS3(), 2)
 	f := wf("input", 10*units.MB)
 	r.sys.PreStage([]*workflow.File{f})
@@ -432,6 +490,7 @@ func TestS3CachePreventsRepeatGETs(t *testing.T) {
 }
 
 func TestS3NoCacheRepeatsGETs(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewS3NoCache(), 1)
 	f := wf("input", 10*units.MB)
 	r.sys.PreStage([]*workflow.File{f})
@@ -446,6 +505,7 @@ func TestS3NoCacheRepeatsGETs(t *testing.T) {
 }
 
 func TestS3WriteUploadsAndCounts(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewS3(), 1)
 	f := wf("out", 50*units.MB)
 	took := r.timed(func(p *sim.Proc) {
@@ -467,6 +527,7 @@ func TestS3WriteUploadsAndCounts(t *testing.T) {
 }
 
 func TestS3ReadOfUnstagedObjectPanics(t *testing.T) {
+	wf := newFiles()
 	r := newRig(t, NewS3(), 1)
 	r.e.Go("reader", func(p *sim.Proc) {
 		r.sys.Read(p, r.c.Workers[0], wf("ghost", units.MB))
@@ -480,6 +541,7 @@ func TestS3ReadOfUnstagedObjectPanics(t *testing.T) {
 }
 
 func TestXtreemFSMuchSlowerPerOp(t *testing.T) {
+	wf := newFiles()
 	x := newRig(t, NewXtreemFS(), 2)
 	g := newRig(t, NewGluster(NUFA), 2)
 	small := wf("s", units.MB)

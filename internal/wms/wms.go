@@ -187,7 +187,7 @@ type execution struct {
 	opts   Options
 	w      *workflow.Workflow
 	disp   dispatcher
-	tasks  map[*workflow.Task]*taskRun
+	tasks  []taskRun // by Task.Index
 	ready  *sim.Mailbox[*workflow.Task]
 	done   *sim.WaitGroup
 	result *Result
@@ -212,7 +212,7 @@ type taskRun struct {
 	attempts int            // attempts started; numbers the log's attempts from 1
 	failures int            // injected failures, bounded by opts.MaxRetries
 	progress float64        // durable fraction of the computation, from the last checkpoint
-	ckpt     *workflow.File // the checkpoint file, interned by ckptFile
+	ckpt     *workflow.File // the checkpoint file, made by ckptFile
 }
 
 // attempt is the kill handle for one in-flight task attempt: an outage
@@ -237,12 +237,10 @@ func (x *execution) execute() {
 	x.ready = sim.NewMailbox[*workflow.Task](x.e)
 	x.done.Add(len(x.w.Tasks))
 
-	runs := make([]taskRun, len(x.w.Tasks))
-	x.tasks = make(map[*workflow.Task]*taskRun, len(x.w.Tasks))
+	x.tasks = make([]taskRun, len(x.w.Tasks))
 	for i, t := range x.w.Tasks {
-		st := &runs[i]
+		st := &x.tasks[i]
 		st.remain = len(t.Parents())
-		x.tasks[t] = st
 		if st.remain == 0 {
 			x.ready.Put(t)
 		}
@@ -345,7 +343,7 @@ func (x *execution) takeDown(node *cluster.Node, dur float64) {
 		att.killed = true
 		x.opts.Log.Record(eventlog.Event{
 			T: now, Kind: eventlog.OutageKill, Task: att.task.ID, Node: node.Name,
-			Attempt: x.tasks[att.task].attempts,
+			Attempt: x.tasks[att.task.Index()].attempts,
 		})
 		if att.timer != nil {
 			// Interrupt the compute sleep right now; attempts blocked in
@@ -399,16 +397,16 @@ func (x *execution) sleepAttempt(p *sim.Proc, att *attempt, d float64) bool {
 	return finished && !att.killed
 }
 
-// ckptFile interns the synthetic checkpoint file for t: one file per
-// task, overwritten by each successive checkpoint, sized by the task's
-// resident memory (what a checkpoint actually dumps).
-func (st *taskRun) ckptFile(t *workflow.Task) *workflow.File {
+// ckptFile makes the synthetic checkpoint file for t on first use: one
+// file per task, overwritten by each successive checkpoint, sized by the
+// task's resident memory (what a checkpoint actually dumps).
+func (x *execution) ckptFile(st *taskRun, t *workflow.Task) *workflow.File {
 	if st.ckpt == nil {
 		size := t.PeakMemory
 		if size <= 0 {
 			size = defaultCheckpointBytes
 		}
-		st.ckpt = &workflow.File{Name: "__ckpt__/" + t.ID, Size: size}
+		st.ckpt = x.w.TaskFile(t, "__ckpt__/"+t.ID, size)
 	}
 	return st.ckpt
 }
@@ -438,7 +436,7 @@ func (x *execution) stage(p *sim.Proc, node *cluster.Node, t *workflow.Task, f *
 // attempt's work, then either the abort, which hands the task back to
 // DAGMan, or the dependency release.
 func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
-	st := x.tasks[t]
+	st := &x.tasks[t.Index()]
 	st.attempts++
 	span := Span{Task: t, Node: node.Name, Start: p.Now()}
 	att := x.register(p, node, t)
@@ -503,7 +501,7 @@ func (x *execution) runJob(p *sim.Proc, node *cluster.Node, t *workflow.Task) {
 
 	// DAGMan dependency release.
 	for _, c := range t.Children() {
-		cs := x.tasks[c]
+		cs := &x.tasks[c.Index()]
 		cs.remain--
 		if cs.remain == 0 {
 			x.ready.Put(c)
@@ -541,7 +539,7 @@ func (x *execution) work(p *sim.Proc, node *cluster.Node, t *workflow.Task, st *
 	if st.progress > 0 {
 		// Restore the last checkpoint before resuming: real staging
 		// traffic through the storage backend, like any input read.
-		ck := st.ckptFile(t)
+		ck := x.ckptFile(st, t)
 		x.stage(p, node, t, ck, "restore", false)
 		resume = st.progress * full
 		x.opts.Log.Record(eventlog.Event{
@@ -594,7 +592,7 @@ func (x *execution) work(p *sim.Proc, node *cluster.Node, t *workflow.Task, st *
 		// was killed while writing, the bytes landed, so the retry may
 		// resume from them (otherwise lost work would double-count paid
 		// checkpoint overhead).
-		ck := st.ckptFile(t)
+		ck := x.ckptFile(st, t)
 		x.stage(p, node, t, ck, "ckpt", true)
 		x.result.Checkpoints++
 		x.result.CheckpointBytes += ck.Size

@@ -23,7 +23,16 @@ type File struct {
 	// Terminal files (produced, never consumed) are deliverables
 	// regardless of Keep.
 	Keep bool
+	// index is the file's dense index in its workflow, from 1; 0 marks
+	// a file no workflow interned. It fills the padding after Keep, so a
+	// File stays 32 bytes.
+	index int32
 }
+
+// Index returns the file's dense index: 1..NumFiles() for the files its
+// workflow interned, NumFiles()+1+t.Index() for a TaskFile of task t,
+// and 0 for a file no workflow made. Per-file tables index by it.
+func (f *File) Index() int { return int(f.index) }
 
 // Task is one executable step of a workflow.
 type Task struct {
@@ -38,7 +47,14 @@ type Task struct {
 	// plus explicit control edges.
 	parents  []*Task
 	children []*Task
+	// index is the task's position in its workflow's Tasks, set by
+	// AddTask.
+	index int32
 }
+
+// Index returns the task's position in its workflow's Tasks. Per-task
+// tables index by it.
+func (t *Task) Index() int { return int(t.index) }
 
 // Parents returns the tasks this task depends on.
 func (t *Task) Parents() []*Task { return t.parents }
@@ -67,26 +83,56 @@ func New(name string) *Workflow {
 	}
 }
 
-// File interns a file by name, creating it with the given size on first
-// use. Re-declaring an existing file with a different size is an error
-// caught at Finalize; before that the first size wins.
+// File interns a file by name, creating it with the given size and the
+// next index on first use. Re-declaring an existing file with a
+// different size is an error caught at Finalize; before that the first
+// size wins. Like AddTask, it panics after Finalize: the file set, and
+// so every per-file table's size, is fixed there.
 func (w *Workflow) File(name string, size float64) *File {
+	if w.finalized {
+		panic("workflow: File after Finalize")
+	}
 	if f, ok := w.files[name]; ok {
 		return f
 	}
-	f := &File{Name: name, Size: size}
+	f := &File{Name: name, Size: size, index: int32(len(w.files) + 1)}
 	w.files[name] = f
 	return f
 }
 
-// AddTask appends a task to the workflow.
+// NumFiles returns how many files the workflow interned.
+func (w *Workflow) NumFiles() int { return len(w.files) }
+
+// TaskFile returns a file that a run writes for t outside the
+// workflow's own files, such as a checkpoint. Its index,
+// NumFiles()+1+t.Index(), lies past every interned file and is one per
+// task. The workflow is not changed, so runs that share it each make
+// their own.
+func (w *Workflow) TaskFile(t *Task, name string, size float64) *File {
+	if !w.finalized {
+		panic("workflow: TaskFile before Finalize")
+	}
+	return &File{Name: name, Size: size, index: int32(len(w.files) + 1 + t.Index())}
+}
+
+// AddTask appends a task to the workflow, giving it the next index.
 func (w *Workflow) AddTask(t *Task) *Task {
 	if w.finalized {
 		panic("workflow: AddTask after Finalize")
 	}
+	t.index = int32(len(w.Tasks))
 	w.Tasks = append(w.Tasks, t)
 	return t
 }
+
+// owns reports whether t was added to w at its index.
+func (w *Workflow) owns(t *Task) bool {
+	i := t.Index()
+	return i < len(w.Tasks) && w.Tasks[i] == t
+}
+
+// interned reports whether f is one of w's interned files.
+func (w *Workflow) interned(f *File) bool { return w.files[f.Name] == f }
 
 // AddDependency records an explicit control edge from parent to child,
 // used when ordering matters without a data file (e.g. directory-creation
@@ -108,7 +154,7 @@ func (w *Workflow) Finalize() error {
 		return fmt.Errorf("workflow %s: already finalized", w.Name)
 	}
 	ids := make(map[string]bool, len(w.Tasks))
-	for _, t := range w.Tasks {
+	for i, t := range w.Tasks {
 		if t.ID == "" {
 			return fmt.Errorf("workflow %s: task with empty ID", w.Name)
 		}
@@ -116,11 +162,31 @@ func (w *Workflow) Finalize() error {
 			return fmt.Errorf("workflow %s: duplicate task ID %q", w.Name, t.ID)
 		}
 		ids[t.ID] = true
+		if t.Index() != i {
+			return fmt.Errorf("workflow %s: task %s was not added with AddTask", w.Name, t.ID)
+		}
 		if bad := amountFault(t.Runtime); bad != "" {
 			return fmt.Errorf("workflow %s: task %s has %s runtime %g", w.Name, t.ID, bad, t.Runtime)
 		}
 		if bad := amountFault(t.PeakMemory); bad != "" {
 			return fmt.Errorf("workflow %s: task %s has %s peak memory %g", w.Name, t.ID, bad, t.PeakMemory)
+		}
+		for _, fs := range [][]*File{t.Inputs, t.Outputs} {
+			for _, f := range fs {
+				if f == nil {
+					return fmt.Errorf("workflow %s: task %s lists a nil file", w.Name, t.ID)
+				}
+				if !w.interned(f) {
+					return fmt.Errorf("workflow %s: task %s lists file %q, which this workflow did not intern",
+						w.Name, t.ID, f.Name)
+				}
+			}
+		}
+		for _, p := range w.extraDeps[t] {
+			if !w.owns(p) {
+				return fmt.Errorf("workflow %s: task %s depends on task %s, which is not in the workflow",
+					w.Name, t.ID, p.ID)
+			}
 		}
 	}
 	names := make([]string, 0, len(w.files))
@@ -134,35 +200,37 @@ func (w *Workflow) Finalize() error {
 			return fmt.Errorf("workflow %s: file %q has %s size %g", w.Name, name, bad, f.Size)
 		}
 	}
-	// Producer/consumer maps, needed only to derive the graph.
-	producers := make(map[*File]*Task)
-	consumers := make(map[*File]int)
+	// Producer/consumer tables by file index, needed only to derive the
+	// graph.
+	producers := make([]*Task, len(w.files)+1)
+	consumers := make([]int32, len(w.files)+1)
 	for _, t := range w.Tasks {
 		for _, f := range t.Outputs {
-			if prev, ok := producers[f]; ok {
+			if prev := producers[f.index]; prev != nil {
 				return fmt.Errorf("workflow %s: file %q produced by both %s and %s (write-once violated)",
 					w.Name, f.Name, prev.ID, t.ID)
 			}
-			producers[f] = t
+			producers[f.index] = t
 		}
 	}
 	for _, t := range w.Tasks {
 		for _, f := range t.Inputs {
-			consumers[f]++
+			consumers[f.index]++
 		}
 	}
-	// Derive edges.
+	// Derive edges. seenBy[p.index] == t.index+1 marks p as a parent of
+	// t already.
+	seenBy := make([]int32, len(w.Tasks))
 	for _, t := range w.Tasks {
-		seen := make(map[*Task]bool)
 		addParent := func(p *Task) {
-			if p != nil && p != t && !seen[p] {
-				seen[p] = true
+			if p != nil && p != t && seenBy[p.index] != t.index+1 {
+				seenBy[p.index] = t.index + 1
 				t.parents = append(t.parents, p)
 				p.children = append(p.children, t)
 			}
 		}
 		for _, f := range t.Inputs {
-			addParent(producers[f])
+			addParent(producers[f.index])
 		}
 		for _, p := range w.extraDeps[t] {
 			addParent(p)
@@ -171,10 +239,11 @@ func (w *Workflow) Finalize() error {
 	// Classify workflow-level inputs and outputs.
 	for _, name := range names {
 		f := w.files[name]
-		if producers[f] == nil && consumers[f] > 0 {
+		produced, consumed := producers[f.index] != nil, consumers[f.index] > 0
+		if !produced && consumed {
 			w.inputs = append(w.inputs, f)
 		}
-		if producers[f] != nil && (consumers[f] == 0 || f.Keep) {
+		if produced && (!consumed || f.Keep) {
 			w.outputs = append(w.outputs, f)
 		}
 	}
@@ -234,26 +303,23 @@ func (w *Workflow) Files() []*File {
 }
 
 // TopoOrder returns the tasks in a deterministic topological order
-// (Kahn's algorithm with FIFO tie-breaking by insertion order).
+// (Kahn's algorithm with FIFO tie-breaking by insertion order). The
+// order doubles as the FIFO queue: tasks are appended as they become
+// ready and visited in that order.
 func (w *Workflow) TopoOrder() []*Task {
-	indeg := make(map[*Task]int, len(w.Tasks))
+	indeg := make([]int, len(w.Tasks))
+	order := make([]*Task, 0, len(w.Tasks))
 	for _, t := range w.Tasks {
-		indeg[t] = len(t.parents)
-	}
-	var queue, order []*Task
-	for _, t := range w.Tasks {
-		if indeg[t] == 0 {
-			queue = append(queue, t)
+		indeg[t.index] = len(t.parents)
+		if len(t.parents) == 0 {
+			order = append(order, t)
 		}
 	}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		order = append(order, t)
-		for _, c := range t.children {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
+	for i := 0; i < len(order); i++ {
+		for _, c := range order[i].children {
+			indeg[c.index]--
+			if indeg[c.index] == 0 {
+				order = append(order, c)
 			}
 		}
 	}
@@ -264,18 +330,18 @@ func (w *Workflow) TopoOrder() []*Task {
 // only; storage time depends on the deployment), a lower bound on any
 // makespan.
 func (w *Workflow) CriticalPathTime() float64 {
-	finish := make(map[*Task]float64, len(w.Tasks))
+	finish := make([]float64, len(w.Tasks))
 	longest := 0.0
 	for _, t := range w.TopoOrder() {
 		start := 0.0
 		for _, p := range t.parents {
-			if finish[p] > start {
-				start = finish[p]
+			if finish[p.index] > start {
+				start = finish[p.index]
 			}
 		}
-		finish[t] = start + t.Runtime
-		if finish[t] > longest {
-			longest = finish[t]
+		finish[t.index] = start + t.Runtime
+		if finish[t.index] > longest {
+			longest = finish[t.index]
 		}
 	}
 	return longest

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ec2wfsim/internal/rng"
 )
@@ -209,6 +211,90 @@ func TestFileInterning(t *testing.T) {
 	}
 	if f1.Size != 10 {
 		t.Errorf("size = %g, want first-wins 10", f1.Size)
+	}
+}
+
+// TestDenseIndices pins the index layout per-file and per-task tables
+// rely on: interned files take 1..NumFiles() in interning order, tasks
+// take their position in Tasks, and a task file of t takes
+// NumFiles()+1+t.Index(). File stays 32 bytes: the index fills the
+// padding after Keep.
+func TestDenseIndices(t *testing.T) {
+	w := diamond(t)
+	names := []string{"in.dat", "b.dat", "c.dat", "out.dat", "b2.dat", "c2.dat"}
+	if w.NumFiles() != len(names) {
+		t.Fatalf("NumFiles = %d, want %d", w.NumFiles(), len(names))
+	}
+	for _, f := range w.Files() {
+		if want := slices.Index(names, f.Name) + 1; f.Index() != want {
+			t.Errorf("%s: Index = %d, want %d", f.Name, f.Index(), want)
+		}
+	}
+	for i, task := range w.Tasks {
+		if task.Index() != i {
+			t.Errorf("task %s: Index = %d, want %d", task.ID, task.Index(), i)
+		}
+	}
+	d := w.Tasks[3]
+	if got, want := w.TaskFile(d, "ckpt", 1).Index(), len(names)+1+3; got != want {
+		t.Errorf("TaskFile index = %d, want %d", got, want)
+	}
+	if (&File{}).Index() != 0 {
+		t.Error("a File no workflow interned has a non-zero index")
+	}
+	if size := unsafe.Sizeof(File{}); size != 32 {
+		t.Errorf("File is %d bytes, want 32", size)
+	}
+}
+
+// TestFileAfterFinalizePanics: the file set is fixed at Finalize, as the
+// task set is.
+func TestFileAfterFinalizePanics(t *testing.T) {
+	w := diamond(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("File after Finalize did not panic")
+		}
+	}()
+	w.File("late.dat", 1)
+}
+
+// TestFinalizeRejectsForeignFilesAndTasks: every file a task lists must
+// be one this workflow interned, and every task must have been added
+// with AddTask, or the per-file and per-task tables would mix them up.
+func TestFinalizeRejectsForeignFilesAndTasks(t *testing.T) {
+	other := New("other")
+	for _, tc := range []struct {
+		name  string
+		build func(w *Workflow)
+		want  string
+	}{
+		{"literal input", func(w *Workflow) {
+			w.AddTask(&Task{ID: "x", Inputs: []*File{{Name: "loose", Size: 1}}})
+		}, `task x lists file "loose", which this workflow did not intern`},
+		{"other workflow's output", func(w *Workflow) {
+			w.File("mine", 1)
+			w.AddTask(&Task{ID: "y", Outputs: []*File{other.File("theirs", 1)}})
+		}, `task y lists file "theirs", which this workflow did not intern`},
+		{"nil file", func(w *Workflow) {
+			w.AddTask(&Task{ID: "z", Inputs: []*File{nil}})
+		}, "task z lists a nil file"},
+		{"appended task", func(w *Workflow) {
+			w.AddTask(&Task{ID: "a"})
+			w.Tasks = append(w.Tasks, &Task{ID: "b"})
+		}, "task b was not added with AddTask"},
+		{"control edge from a foreign task", func(w *Workflow) {
+			child := w.AddTask(&Task{ID: "c"})
+			w.AddDependency(&Task{ID: "ghost"}, child)
+		}, "task c depends on task ghost, which is not in the workflow"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New("foreign")
+			tc.build(w)
+			if err := w.Finalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Finalize = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
